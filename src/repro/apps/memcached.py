@@ -20,6 +20,7 @@ Wire protocol (binary-ish, minimal):
 
 from ..config import DEFAULT_APP_TIMINGS
 from ..errors import ConfigError
+from ..net.packet import TCP
 from ..net.stack import NetworkStack
 from ..sim import RateMeter
 
@@ -91,6 +92,77 @@ class KeyValueStore:
         return len(self._data)
 
 
+class _WorkerOp:
+    """One server core's serving loop as a callback state machine.
+
+    Mirrors the retired ``_worker`` generator process step for step:
+    NIC recv -> control check -> stack rx cost -> store op -> op cost
+    -> response build -> stack tx cost (egress priority) -> wire
+    serialization, each step taking the schedule slots its generator
+    step took, so fixed-seed results are unchanged.  One op per core
+    lives for the whole simulation.
+    """
+
+    __slots__ = ("server", "msg", "result", "response")
+
+    def __init__(self, server):
+        self.server = server
+        self.msg = None
+        self.result = None
+        self.response = None
+        # URGENT kick at now: the slot the worker Process's init used.
+        server.env._kick(self._arm)
+
+    def _arm(self, _event=None):
+        self.server.nic.rx.get().callbacks.append(self._on_msg)
+
+    def _on_msg(self, get):
+        server = self.server
+        server.nic.rx_rate.count += 1       # inlined nic.recv() rate tick
+        msg = get._value
+        stack = server.stack
+        if stack.handle_control(msg, server.nic) or msg.dst.port != server.port:
+            self._arm()
+            return
+        self.msg = msg
+        if stack._tracer is not None:
+            stack._tracer.emit(stack.name, "rx", msg.msg_id, msg.proto)
+        server.pool.run_calibrated_then(stack.rx_cost(msg), self._after_rx)
+
+    def _after_rx(self, _event):
+        server = self.server
+        msg = self.msg
+        if msg.proto == TCP and msg.conn is not None:
+            msg.conn.deliver(msg)
+        self.result = result = server.store.execute(msg.payload)
+        # The dict op itself plus the request parse: calibrated cost,
+        # with the LLC pressure of a large working set.
+        server.pool.run_calibrated_then(
+            server.op_cost_fn(msg, result) if server.op_cost_fn is not None
+            else server.op_cost, self._after_op,
+            memory_intensity=server.memory_intensity,
+            working_set=server.working_set)
+
+    def _after_op(self, _event):
+        server = self.server
+        msg = self.msg
+        self.msg = None
+        response = msg.reply(self.result, created_at=server.env.now)
+        self.result = None
+        if response.conn is not None:
+            response.meta["tcp_seq"] = response.conn.next_seq(response.src)
+        self.response = response
+        server.pool.run_calibrated_then(server.stack.tx_cost(response),
+                                        self._after_tx, priority=-1)
+
+    def _after_tx(self, _event):
+        server = self.server
+        server.ops.count += 1               # inlined RateMeter.tick()
+        response = self.response
+        self.response = None
+        server.nic.send_then(response, self._arm)
+
+
 class MemcachedServer:
     """The network-facing server bound to a platform's cores + stack."""
 
@@ -119,29 +191,5 @@ class MemcachedServer:
         self.memory_intensity = memory_intensity
         self.working_set = working_set
         self.ops = RateMeter(env, name="%s-ops" % self.name)
-        for i in range(pool.count):
-            env.process(self._worker(), name="%s-w%d" % (self.name, i))
-
-    def _worker(self):
-        while True:
-            msg = yield self.nic.recv()
-            if self.stack.handle_control(msg, self.nic):
-                continue
-            if msg.dst.port != self.port:
-                continue
-            yield from self.stack.process_rx(msg)
-            result = self.store.execute(msg.payload)
-            # The dict op itself plus the request parse: calibrated
-            # cost, with the LLC pressure of a large working set.
-            yield from self.pool.run_calibrated(
-                self.op_cost_fn(msg, result) if self.op_cost_fn is not None
-                else self.op_cost,
-                memory_intensity=self.memory_intensity,
-                working_set=self.working_set)
-            response = msg.reply(result, created_at=self.env.now)
-            if response.conn is not None:
-                response.meta["tcp_seq"] = response.conn.next_seq(response.src)
-            yield from self.pool.run_calibrated(self.stack.tx_cost(response),
-                                                priority=-1)
-            self.ops.tick()
-            yield from self.nic.send(response)
+        for _ in range(pool.count):
+            _WorkerOp(self)

@@ -28,6 +28,13 @@ from ..sim import trace as trace_mod
 from ..telemetry.export import format_kernel_stats
 
 
+def _print_elapsed(start):
+    """Wall-clock of one experiment, on stderr: stdout carries only
+    simulated results, so two runs of one seed print identical bytes."""
+    print("(%.1fs)" % (time.time() - start), file=sys.stderr)
+    print()
+
+
 def _print_trace(exp_id, needle, limit):
     """Print (bounded) trace rows whose channel name contains *needle*."""
     rows = []
@@ -131,7 +138,7 @@ def campaign_main(argv):
                 print("run %s  %s%s" % (variant.run_id, variant.token,
                                         "  (baseline)"
                                         if variant.is_baseline else ""))
-            print("(%.1fs)\n" % (time.time() - start))
+            _print_elapsed(start)
         print(render_importance(docs))
         if args.out:
             telemetry.dump_campaign(
@@ -225,7 +232,7 @@ def slo_main(argv):
         else:
             print("no sustainable rate in the bracket (lower --lo or "
                   "relax --slo-us)")
-        print("(%.1fs)" % (time.time() - start))
+        print("(%.1fs)" % (time.time() - start), file=sys.stderr)
     finally:
         if args.sim_backend is not None:
             configure_backend(None)
@@ -357,7 +364,7 @@ def main(argv=None):
             telemetry.registry().merge(exp_snap)
             result.attach_metrics(exp_snap)
             print(result.render())
-            print("(%.1fs)\n" % (time.time() - start))
+            _print_elapsed(start)
             if args.trace_channel:
                 _print_trace(exp_id, args.trace_channel, args.trace_limit)
 

@@ -93,6 +93,8 @@ class CorePool:
         base = "hw.cpu.%s." % self.name
         reg.register(base + "utilization", self._res.utilization)
         reg.register(base + "runq_depth", self._res.queue_depth)
+        #: free :class:`_CalibratedRun` records (see run_calibrated_then)
+        self._run_pool = []
 
     @property
     def in_use(self):
@@ -138,6 +140,26 @@ class CorePool:
         finally:
             req.release()
 
+    def run_calibrated_then(self, duration, callback, priority=0,
+                            memory_intensity=None, working_set=None):
+        """Callback twin of :meth:`run_calibrated`: run the work, then
+        call *callback(event)*.
+
+        Same schedule slots as the generator — grant, charge, release —
+        with the same LLC occupancy and penalty draws, through a pooled
+        op record, so steady state allocates nothing.
+        """
+        if duration < 0:
+            raise ConfigError("negative duration")
+        pool = self._run_pool
+        op = pool.pop() if pool else _CalibratedRun(self)
+        op.duration = duration
+        op.mi = (self.default_memory_intensity if memory_intensity is None
+                 else memory_intensity)
+        op.ws = self.default_working_set if working_set is None else working_set
+        op.callback = callback
+        self._res.acquire(op._granted, priority)
+
     def run_compute(self, xeon_us, memory_intensity=0.0, working_set=0,
                     priority=0, aggressor=False):
         """Generator: any free core runs compute work (Xeon-us units).
@@ -176,6 +198,47 @@ class CorePool:
         finally:
             if token is not None:
                 self.llc.release(token)
+
+
+class _CalibratedRun:
+    """One in-flight :meth:`CorePool.run_calibrated_then` (pooled)."""
+
+    __slots__ = ("pool", "duration", "mi", "ws", "token", "callback")
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.duration = 0.0
+        self.mi = 0.0
+        self.ws = 0
+        self.token = None
+        self.callback = None
+
+    def _granted(self, _event):
+        pool = self.pool
+        llc = pool.llc
+        duration = self.duration
+        if llc is None or self.ws <= 0:
+            if llc is not None and self.mi > 0:
+                duration *= llc.penalty(self.mi)
+        else:
+            # The _timed leg: LLC occupancy held for the span of the
+            # charge, occupied before the penalty draw.
+            self.token = llc.occupy(self.ws)
+            if self.mi > 0:
+                duration *= llc.penalty(self.mi)
+        pool.env.charge(duration).callbacks.append(self._charged)
+
+    def _charged(self, event):
+        pool = self.pool
+        token = self.token
+        if token is not None:
+            pool.llc.release(token)
+            self.token = None
+        pool._res.free()
+        callback = self.callback
+        self.callback = None
+        pool._run_pool.append(self)
+        callback(event)
 
 
 class CpuSocket:

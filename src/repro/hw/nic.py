@@ -53,6 +53,15 @@ class Nic:
         self.tx_rate.tick()
         self.network.deliver(msg)
 
+    def send_then(self, msg, callback):
+        """Callback twin of :meth:`send`: serialize *msg*, deliver it,
+        then call *callback(event)*."""
+        def sent(event):
+            self.tx_rate.count += 1       # inlined RateMeter.tick()
+            self.network.deliver(msg)
+            callback(event)
+        self.tx.transfer_then(msg.wire_size, sent)
+
     def send_async(self, msg):
         """Fire-and-forget variant of :meth:`send`."""
         self.env.detached(self.send(msg))

@@ -39,22 +39,17 @@ class _SendOp:
 
     def _begin(self, _event):
         client = self.client
-        msg = self.msg
-        if msg.conn is not None and not msg.kind.startswith("tcp-"):
-            msg.meta["tcp_seq"] = msg.conn.next_seq(msg.src)
-        charge = client.env.charge(
-            client.send_cost + msg.wire_size / client.link_rate)
-        charge.callbacks.append(self._sent)
+        client.env.charge(client._send_charge(self.msg)).callbacks.append(
+            self._sent)
 
     def _sent(self, _event):
         client = self.client
         msg = self.msg
         self.msg = None
-        client.sent.count += 1        # inlined RateMeter.tick()
         pool = client._send_op_pool
         if len(pool) < 1024:
             pool.append(self)
-        client.network.deliver(msg)
+        client._put_on_wire(msg)
 
 
 class _ClientRxOp:
@@ -119,12 +114,15 @@ class Client:
         # mergeable log-bucketed histogram; local samples stay exact).
         #: request attempts re-sent after a timeout or error response
         self.retries = 0
+        #: request attempts whose deadline expired before a response
+        self.timeouts = 0
         reg = telemetry.registry()
         base = "net.client.%s." % ip
         reg.register(base + "latency", self.latency)
         reg.register(base + "responses", self.responses)
         reg.register(base + "sent", self.sent)
         reg.pull(base + "retries", lambda: self.retries)
+        reg.pull(base + "timeouts", lambda: self.timeouts)
         self._waiters = {}
         self._next_port = 40000
         self._send_op_pool = []
@@ -141,9 +139,17 @@ class Client:
 
     def send(self, msg):
         """Generator: serialize *msg* onto the wire."""
+        yield self.env.charge(self._send_charge(msg))
+        self._put_on_wire(msg)
+
+    def _send_charge(self, msg):
+        """Stamp a data segment's TCP sequence number; returns the send
+        cost plus serialization time of *msg*."""
         if msg.conn is not None and not msg.kind.startswith("tcp-"):
             msg.meta["tcp_seq"] = msg.conn.next_seq(msg.src)
-        yield self.env.charge(self.send_cost + msg.wire_size / self.link_rate)
+        return self.send_cost + msg.wire_size / self.link_rate
+
+    def _put_on_wire(self, msg):
         self.sent.count += 1          # inlined RateMeter.tick()
         self.network.deliver(msg)
 
@@ -157,6 +163,13 @@ class Client:
 
     def connect(self, dst):
         """Generator: establish a TCP connection to *dst*; returns it."""
+        conn, syn, waiter = self._open_connection(dst)
+        yield from self.send(syn)
+        yield waiter
+        return self._connected(conn)
+
+    def _open_connection(self, dst):
+        """Build the SYN for a new connection and park its waiter."""
         src = self._source_address()
         conn = TcpConnection(client=src, server=dst)
         syn = Message(src=src, dst=dst, payload=b"", proto=TCP,
@@ -164,14 +177,15 @@ class Client:
         syn.meta["conn"] = conn
         waiter = self.env.event()
         self._waiters[("synack", conn.conn_id)] = waiter
-        yield from self.send(syn)
-        yield waiter
+        return conn, syn, waiter
+
+    def _connected(self, conn):
         # The RX loop pops the synack entry on arrival; this defensive
         # pop keeps the waiter table empty even if the entry was
         # resolved some other way (dict ops consume no schedule slots).
         self._waiters.pop(("synack", conn.conn_id), None)
         if not conn.established:
-            raise NetworkError("TCP handshake failed to %s" % (dst,))
+            raise NetworkError("TCP handshake failed to %s" % (conn.server,))
         return conn
 
     def request(self, payload, dst, proto=UDP, conn=None, timeout=None,
@@ -196,46 +210,76 @@ class Client:
         could never fire.
         """
         env = self.env
-        if retries > 0 and timeout is None:
-            timeout = 2.0 * (retry_backoff if retry_backoff is not None
-                             else 1000.0)
+        timeout = _attempt_deadline(timeout, retries, retry_backoff)
         attempt = 0
         while True:
             attempt += 1
-            src = conn.client if conn is not None else self._source_address()
-            msg = Message(src=src, dst=dst, payload=payload, proto=proto,
-                          created_at=env.now, conn=conn)
-            waiter = env.event()
-            self._waiters[msg.msg_id] = waiter
+            msg, waiter = self._open_attempt(payload, dst, proto, conn)
             yield from self.send(msg)
             if timeout is None:
                 response = yield waiter
             else:
                 expiry = env.timeout(timeout)
                 result = yield env.any_of([waiter, expiry])
-                response = result[waiter] if waiter in result else None
-            # The RX loop pops the entry when a response arrives; this
-            # pop covers the timeout path and is defensive elsewhere, so
-            # the waiter table stays empty under mixed traffic.
-            self._waiters.pop(msg.msg_id, None)
-            failed = response is None or response.kind == "error"
-            if not failed:
-                if attempt > 1:
-                    # Lazily created: E01-E15 metric snapshots must not
-                    # grow a counter no fault run ever touched.
-                    telemetry.registry().counter(
-                        "faults.recovered.client_retry").inc()
+                response = result.get(waiter)
+            if self._attempt_over(msg, response, attempt, retries):
                 return response
-            if attempt > retries:
-                return response
-            self.retries += 1
-            base = retry_backoff if retry_backoff is not None \
-                else (timeout if timeout else 1000.0)
-            delay = base * (2 ** (attempt - 1))
-            if self.rng is not None:
-                delay *= self.rng.uniform("client.retry.%s" % self.ip,
-                                          0.5, 1.5)
-            yield env.timeout(delay)
+            yield env.timeout(self._retry_delay(attempt, timeout,
+                                                retry_backoff))
+
+    # -- retry policy (shared by request() and _ClosedLoopOp) ---------------
+
+    def _open_attempt(self, payload, dst, proto, conn):
+        """Build one attempt's request and park its response waiter."""
+        src = conn.client if conn is not None else self._source_address()
+        msg = Message(src=src, dst=dst, payload=payload, proto=proto,
+                      created_at=self.env.now, conn=conn)
+        waiter = self.env.event()
+        self._waiters[msg.msg_id] = waiter
+        return msg, waiter
+
+    def _attempt_over(self, msg, response, attempt, retries):
+        """Book one finished attempt (*response* is None on expiry);
+        True when the request is over, False when it should retry."""
+        # The RX loop pops the entry when a response arrives; this pop
+        # covers the timeout path and is defensive elsewhere, so the
+        # waiter table stays empty under mixed traffic.
+        self._waiters.pop(msg.msg_id, None)
+        if response is None:
+            self.timeouts += 1
+        elif response.kind != "error":
+            if attempt > 1:
+                # Lazily created: E01-E15 metric snapshots must not
+                # grow a counter no fault run ever touched.
+                telemetry.registry().counter(
+                    "faults.recovered.client_retry").inc()
+            return True
+        return attempt > retries
+
+    def _retry_delay(self, attempt, timeout, retry_backoff):
+        """Count a retry and draw its backoff: exponential from the
+        base delay, with ±50% jitter from the simulation RNG."""
+        self.retries += 1
+        base = retry_backoff if retry_backoff is not None \
+            else (timeout if timeout else 1000.0)
+        delay = base * (2 ** (attempt - 1))
+        if self.rng is not None:
+            delay *= self.rng.uniform("client.retry.%s" % self.ip, 0.5, 1.5)
+        return delay
+
+
+def _attempt_deadline(timeout, retries, retry_backoff):
+    """Per-attempt deadline of a request.
+
+    A retrying request always carries one: with *retries* > 0 and no
+    explicit *timeout* it defaults to twice the backoff base, or a lost
+    UDP request would park its waiter forever and the retry budget
+    could never fire.  A bare request keeps *timeout* (None waits
+    indefinitely).
+    """
+    if retries > 0 and timeout is None:
+        return 2.0 * (retry_backoff if retry_backoff is not None else 1000.0)
+    return timeout
 
 
 class OpenLoopGenerator:
@@ -297,6 +341,123 @@ class OpenLoopGenerator:
         env.charge(self._interarrival()).callbacks.append(self._fire)
 
 
+class _ClosedLoopOp:
+    """One closed-loop worker as a callback state machine.
+
+    Mirrors the retired ``_worker`` generator process step for step:
+    optional TCP connect, then per request ``Client.request``'s attempt
+    loop (send charge, the same ``any_of`` deadline condition, retries
+    with RNG-jittered backoff) and the think-time charge, through the
+    retry-policy helpers ``Client.request`` itself uses.  Every leg
+    takes the schedule slot its generator step took; a stopped worker
+    ends with one zero-delay event in place of the process's
+    termination event.
+    """
+
+    __slots__ = ("gen", "client", "env", "index", "timeout", "conn", "seq",
+                 "payload", "attempt", "msg", "waiter")
+
+    def __init__(self, gen, index):
+        self.gen = gen
+        self.client = gen.client
+        self.env = gen.env
+        self.index = index
+        self.timeout = _attempt_deadline(gen.timeout, gen.retries,
+                                         gen.retry_backoff)
+        self.conn = None
+        self.seq = 0
+        self.payload = None
+        self.attempt = 0
+        self.msg = None
+        self.waiter = None
+        # URGENT kick at now: the slot the worker Process's init used.
+        self.env._kick(self._begin)
+
+    def _begin(self, _event):
+        if self.gen.use_tcp_connections:
+            client = self.client
+            self.conn, syn, self.waiter = client._open_connection(
+                self.gen.dst)
+            self.msg = syn
+            self.env.charge(client._send_charge(syn)).callbacks.append(
+                self._syn_sent)
+        else:
+            self._next()
+
+    def _syn_sent(self, _event):
+        msg = self.msg
+        self.msg = None
+        self.client._put_on_wire(msg)
+        self.waiter.callbacks.append(self._synack)
+
+    def _synack(self, _event):
+        self.waiter = None
+        self.client._connected(self.conn)
+        self._next()
+
+    def _next(self, _event=None):
+        gen = self.gen
+        if gen._stopped:
+            # The worker process's termination event.
+            self.env.defer(0, _ignore)
+            return
+        self.payload = gen.payload_fn(self.index * 1000000 + self.seq)
+        self.seq += 1
+        self.attempt = 0
+        self._send_attempt()
+
+    def _send_attempt(self, _event=None):
+        self.attempt += 1
+        client = self.client
+        gen = self.gen
+        msg, self.waiter = client._open_attempt(self.payload, gen.dst,
+                                                gen.proto, self.conn)
+        self.msg = msg
+        self.env.charge(client._send_charge(msg)).callbacks.append(
+            self._sent)
+
+    def _sent(self, _event):
+        self.client._put_on_wire(self.msg)
+        timeout = self.timeout
+        if timeout is None:
+            self.waiter.callbacks.append(self._settle)
+        else:
+            env = self.env
+            expiry = env.timeout(timeout)
+            env.any_of([self.waiter, expiry]).callbacks.append(self._settle)
+
+    def _settle(self, event):
+        """The attempt's waiter, or its deadline condition, fired."""
+        waiter = self.waiter
+        response = (event._value if event is waiter
+                    else event._value.get(waiter))
+        gen = self.gen
+        client = self.client
+        msg = self.msg
+        self.msg = self.waiter = None
+        attempt = self.attempt
+        if not client._attempt_over(msg, response, attempt, gen.retries):
+            self.env.defer(client._retry_delay(attempt, self.timeout,
+                                               gen.retry_backoff),
+                           self._send_attempt)
+            return
+        self.payload = None
+        if response is None:
+            gen.timeouts += 1
+        elif response.kind == "error":
+            gen.errors += 1
+        else:
+            gen.completed += 1
+        if gen.think_time > 0:
+            self.env.defer(gen.think_time, self._next)
+        else:
+            self._next()
+
+
+def _ignore(_event):
+    pass
+
+
 class ClosedLoopGenerator:
     """N workers, each with one outstanding request at a time."""
 
@@ -319,32 +480,8 @@ class ClosedLoopGenerator:
         self.completed = 0
         self.timeouts = 0
         self.errors = 0
-        self.processes = [
-            env.process(self._worker(i), name="%s-w%d" % (self.name, i))
-            for i in range(concurrency)
-        ]
+        for index in range(concurrency):
+            _ClosedLoopOp(self, index)
 
     def stop(self):
         self._stopped = True
-
-    def _worker(self, index):
-        env = self.env
-        conn = None
-        if self.use_tcp_connections:
-            conn = yield from self.client.connect(self.dst)
-        seq = 0
-        while not self._stopped:
-            payload = self.payload_fn(index * 1000000 + seq)
-            seq += 1
-            response = yield from self.client.request(
-                payload, self.dst, proto=self.proto, conn=conn,
-                timeout=self.timeout, retries=self.retries,
-                retry_backoff=self.retry_backoff)
-            if response is None:
-                self.timeouts += 1
-            elif response.kind == "error":
-                self.errors += 1
-            else:
-                self.completed += 1
-            if self.think_time > 0:
-                yield env.charge(self.think_time)

@@ -42,6 +42,38 @@ def _msg_id(item):
     return None
 
 
+class _TransferOp:
+    """One in-flight :meth:`Channel.transfer_then` (pooled per channel)."""
+
+    __slots__ = ("channel", "nbytes", "occupancy", "callback")
+
+    def __init__(self, channel):
+        self.channel = channel
+        self.nbytes = 0
+        self.occupancy = 0.0
+        self.callback = None
+
+    def _granted(self, _event):
+        self.channel.env.charge(self.occupancy).callbacks.append(self._moved)
+
+    def _moved(self, event):
+        channel = self.channel
+        if channel.issue is not None:
+            channel.issue.free()
+        nbytes = self.nbytes
+        callback = self.callback
+        self.callback = None
+        channel._xfer_pool.append(self)
+        channel.sent += 1
+        channel.bytes_moved += nbytes
+        if channel._tracer is not None:
+            channel._tracer.emit(channel.name, "xfer", None, nbytes)
+        if channel.latency:
+            channel.env.defer(channel.latency, callback)
+        else:
+            callback(event)
+
+
 class Channel(Store):
     """One typed hop between two components.
 
@@ -108,6 +140,8 @@ class Channel(Store):
         #: paths stay Store's untouched bound methods.
         self.claimed_peak = 0
         self._credit_waiters = deque()
+        #: free :class:`_TransferOp` records (see transfer_then)
+        self._xfer_pool = []
         # Uniform per-hop statistics.
         self.sent = 0
         self.delivered = 0
@@ -161,6 +195,30 @@ class Channel(Store):
         if latency:
             yield self.env.charge(latency)
 
+    def transfer_then(self, nbytes, callback):
+        """Callback twin of :meth:`transfer`: move *nbytes* across the
+        hop, then call *callback(event)*.
+
+        Same schedule slots as the generator — issue grant, occupancy
+        charge, release, optional latency charge — with a pooled op
+        record carrying the transfer, so steady state allocates
+        nothing.  With no post-latency, *callback* runs synchronously
+        inside the release step, exactly where the generator resumed
+        its caller.
+        """
+        if nbytes < 0:
+            raise SimulationError("negative transfer size on %s" % self.name)
+        pool = self._xfer_pool
+        op = pool.pop() if pool else _TransferOp(self)
+        op.nbytes = nbytes
+        # Priced at issue time, like the generator.
+        op.occupancy = occupancy = self.occupancy(nbytes)
+        op.callback = callback
+        if self.issue is not None:
+            self.issue.acquire(op._granted)
+        else:
+            self.env.charge(occupancy).callbacks.append(op._moved)
+
     def push(self, item, nbytes=0):
         """Fire-and-forget: land *item* in the sink after the hop latency.
 
@@ -210,8 +268,8 @@ class Channel(Store):
         """Batched fire-and-forget: the burst rides ONE landing event.
 
         The vectorized traffic plane's injection path (DESIGN.md
-        §4.13): where N ``push()`` calls cost N deferred landings plus
-        N ``StorePut`` completions, a burst of N items here costs one
+        §4.13): where N ``push()`` calls cost N deferred landings, each
+        burning a put-completion event id, a burst of N items here costs one
         deferred event, and when the sink is an idle plain FIFO (no
         parked getters/putters, no tracer, room for the whole burst)
         the landing is a single ``deque.extend``.  Any other sink state

@@ -39,10 +39,10 @@ with the heap backend):
   changes (fault-injection hooks install/remove between pushes), and
   delivery calls the binding captured at stage time, matching the
   heap's bind-at-push ``defer(latency, self._land)``;
-* the bulk landing path replaces k no-op ``StorePut`` completion events
-  (``try_put`` discards the event, so no callback can ever observe
-  them) by consuming the same k sequence numbers and crediting the same
-  k processed events through one bare entry at the first eid;
+* the bulk landing path consumes the k sequence numbers of the k
+  put completions the per-item ``try_put`` landings burn (no callback
+  can observe them) and credits the same k processed events through
+  one bare entry at the first eid;
 * frame execution (DESIGN.md §4.14) stays sound above this table: an
   open batch always keeps its flush entry in the schedule at the
   batch's landing deadline, and later coalesced rows share that
@@ -215,7 +215,7 @@ class LandingTable:
                 and not channel._getters and not channel._putters
                 and channel._tracer is None
                 and len(channel._items) + count <= channel.capacity):
-            # Bulk landing: k no-op StorePut completions collapse into
+            # Bulk landing: k unobservable put completions collapse into
             # one credit entry at the same (time, first-eid) slot.
             in_flight = channel._in_flight
             items = channel._items

@@ -9,6 +9,9 @@ request object doubles as a context manager::
         yield req
         yield env.timeout(cost)
 
+Callback state machines use the allocation-free twin instead:
+``resource.acquire(callback)`` calls back once a slot is granted, and
+the holder returns the slot with ``resource.free()``.
 """
 
 import heapq
@@ -82,6 +85,51 @@ class Resource:
         """Create a claim; the returned event fires when a slot is granted."""
         return Request(self, priority)
 
+    def acquire(self, callback, priority=0):
+        """Callback twin of :meth:`request`: call *callback(event)* once
+        a slot is granted; the holder returns it with :meth:`free`.
+
+        A free slot is granted through a pooled ``env.defer(0, ...)`` —
+        the same (now, NORMAL, eid) schedule slot the granted
+        :class:`Request` would take — so nothing is allocated.  Only a
+        contended acquire parks a :class:`Request`, queued FIFO within
+        its priority beside every other waiter.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            in_use = self._in_use + 1
+            self._in_use = in_use
+            gauge = self.utilization
+            value = in_use / self.capacity
+            if value != gauge._value:
+                now = self.env.now
+                gauge._area += gauge._value * (now - gauge._last_change)
+                gauge._value = value
+                gauge._last_change = now
+                if value > gauge._max:
+                    gauge._max = value
+            self.env.defer(0, callback)
+        else:
+            Request(self, priority).callbacks.append(callback)
+
+    def free(self):
+        """Return a slot granted through :meth:`acquire`."""
+        in_use = self._in_use - 1
+        self._in_use = in_use
+        if self._waiters:
+            self._settle()
+            return
+        # No waiter to grant and the queue-depth gauge already reads 0:
+        # only the utilization gauge can move.
+        gauge = self.utilization
+        value = in_use / self.capacity
+        if value != gauge._value:
+            now = self.env.now
+            gauge._area += gauge._value * (now - gauge._last_change)
+            gauge._value = value
+            gauge._last_change = now
+            if value > gauge._max:
+                gauge._max = value
+
     # Gauge updates below are inlined (see TimeWeightedGauge.set): the
     # request/grant/release cycle runs millions of times per saturation
     # run and the method-call overhead alone was measurable.
@@ -128,6 +176,10 @@ class Resource:
             # Only granted requests hold a slot; releasing a request that
             # was still waiting (e.g. after an interrupt) frees nothing.
             self._in_use -= 1
+        self._settle()
+
+    def _settle(self):
+        """Grant freed slots to waiters and update both gauges."""
         waiters = self._waiters
         while waiters and self._in_use < self.capacity:
             _, _, nxt = heapq.heappop(waiters)

@@ -80,11 +80,30 @@ class Store:
 
         Used for drop-tail queues (NIC RX rings): the caller counts the
         drop instead of blocking.
+
+        Nobody can wait on the put's completion, so none is built: the
+        schedule slot the ``StorePut`` would take is burned and credited
+        to ``events_processed`` as if it had fired — the same rule the
+        wheel's landing table applies to bulk landings.  Ordering and
+        every counter stay those of a ``put()``.
         """
-        if self._getters or len(self._items) < self.capacity:
-            StorePut(self, item)
-            return True
-        return False
+        env = self.env
+        if self._getters:
+            getter = self._getters.popleft()
+            self.total_put += 1
+            getter._ok = True
+            getter._value = item
+            eid = env._eid
+            heappush(env._queue, (env.now, NORMAL, eid, getter))
+            env._eid = eid + 2
+        elif len(self._items) < self.capacity:
+            self._push_item(item)
+            self.total_put += 1
+            env._eid += 1
+        else:
+            return False
+        env.events_processed += 1
+        return True
 
     def try_get(self):
         """Non-blocking pop: return an item or None."""

@@ -82,6 +82,18 @@ class TestMemcachedServer:
         assert gen.completed > 20
         assert server.store.misses > 20
 
+    def test_negative_op_cost_rejected(self):
+        tb = Testbed()
+        host = tb.machine("10.0.0.2")
+        MemcachedServer(tb.env, host.nic, host.pool(count=1, name="mc"),
+                        XEON_VMA, op_cost_fn=lambda msg, result: -1.0)
+        client = tb.client("10.0.1.1")
+        ClosedLoopGenerator(tb.env, client, Address("10.0.0.2", 11211),
+                            concurrency=1,
+                            payload_fn=lambda i: encode_get(b"k"), proto=UDP)
+        with pytest.raises(ConfigError):
+            tb.run(until=1000)
+
     def test_throughput_scales_with_cores(self):
         """Fig 9's premise: memcached scales linearly with CPU cores."""
         rates = {}

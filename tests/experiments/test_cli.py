@@ -1,5 +1,8 @@
 """The command-line experiment runner."""
 
+import itertools
+import time
+
 import pytest
 
 from repro.experiments import testbed
@@ -29,6 +32,20 @@ class TestCli:
 
     def test_seed_flag(self, capsys):
         assert main(["--seed", "7", "E01"]) == 0
+
+    def test_stdout_independent_of_wall_clock(self, capsys, monkeypatch):
+        # Elapsed wall-clock goes to stderr: two runs whose clocks
+        # disagree must print byte-identical stdout.
+        outs = []
+        for start, step in ((0.0, 1.0), (1000.0, 7.3)):
+            ticks = itertools.count()
+            monkeypatch.setattr(time, "time",
+                                lambda: start + step * next(ticks))
+            assert main(["E01"]) == 0
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            assert "s)" in captured.err
+        assert outs[0] == outs[1]
 
 
 class TestChannelFlags:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import telemetry
 from repro.experiments import e16_faults
 from repro.experiments.common import HOST_CENTRIC, LYNX_BLUEFIELD
 
@@ -56,3 +57,20 @@ class TestDeterminism:
     def test_different_seed_different_fault_pattern(self, result):
         other = e16_faults.run(fast=True, seed=43, jobs=1)
         assert json.dumps(other.rows) != json.dumps(result.rows)
+
+
+class TestClientTimeoutTelemetry:
+    def test_scalar_client_timeouts_reach_telemetry(self):
+        # Regression: attempt deadlines expiring in Client.request and
+        # the closed-loop workers were never registered, so
+        # net.client.<ip>.timeouts read 0 under a lossy schedule.
+        snaps = []
+        for jobs in (1, 4):
+            with telemetry.scope() as reg:
+                e16_faults.run(fast=True, seed=42, jobs=jobs)
+                snaps.append({
+                    name: inst for name, inst in reg.snapshot().items()
+                    if name.startswith("net.client.")
+                    and name.endswith(".timeouts")})
+        assert snaps[0] == snaps[1]
+        assert sum(inst["value"] for inst in snaps[0].values()) > 0

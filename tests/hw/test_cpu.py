@@ -115,6 +115,59 @@ class TestCorePool:
         assert p.value > 10  # slowed by contention
 
 
+class TestRunCalibratedThen:
+    """The callback twin must reproduce the generator slot for slot."""
+
+    JOBS = [(0.0, 4.0, 0, None, None), (0.0, 3.0, 1, 0.8, 40),
+            (1.0, 2.5, -1, None, None), (1.0, 6.0, 0, 0.5, 0),
+            (2.0, 1.0, -2, 1.0, 60), (2.5, 3.5, 0, None, None)]
+
+    def _replay(self, callback_api):
+        from repro.hw.cache import LLCModel
+
+        env = Environment()
+        llc = LLCModel(env, 100, DEFAULT_CACHE,
+                       RngRegistry(0).stream("test"))
+        llc.occupy(150)
+        pool = CorePool(env, XEON_E5_2620, count=2, llc=llc)
+        pool.default_memory_intensity = 0.3
+        pool.default_working_set = 20
+        done = []
+
+        def job(name, cost, priority, mi, ws):
+            if callback_api:
+                pool.run_calibrated_then(
+                    cost, lambda _e: done.append((name, env.now)),
+                    priority=priority, memory_intensity=mi, working_set=ws)
+            else:
+                def proc():
+                    yield from pool.run_calibrated(
+                        cost, priority=priority, memory_intensity=mi,
+                        working_set=ws)
+                    done.append((name, env.now))
+                env.detached(proc())
+
+        for name, (at, cost, priority, mi, ws) in enumerate(self.JOBS):
+            env.timeout(at).callbacks.append(
+                lambda _e, a=(name, cost, priority, mi, ws): job(*a))
+        env.run()
+        gauges = [(g._value, g._area, g._last_change, g._max)
+                  for g in (pool._res.utilization, pool._res.queue_depth)]
+        return done, gauges, llc.total_working_set, llc._next_token
+
+    def test_matches_generator(self):
+        # The generator path spawns one detached task per job (one
+        # kick each), so compare observables, not event ids.
+        done, gauges, occupied, tokens = self._replay(True)
+        assert (done, gauges, occupied, tokens) == self._replay(False)
+        assert len(done) == len(self.JOBS)
+
+    def test_negative_duration_rejected(self, env):
+        pool = CorePool(env, XEON_E5_2620, count=1)
+        with pytest.raises(ConfigError):
+            pool.run_calibrated_then(-1.0, lambda _e: None)
+
+
 class TestCpuSocket:
     def test_socket_has_profile_core_count(self, env, rng):
         socket = CpuSocket(env, XEON_E5_2620, DEFAULT_CACHE, rng)

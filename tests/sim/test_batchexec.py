@@ -218,12 +218,24 @@ class TestChannelFrameHandoff:
         assert ch.frame_pop() is None
 
     def test_frame_pop_declines_on_dirty_instant(self):
-        # try_put leaves a same-instant event pending; the clear-span
-        # guard must decline rather than pop across it.
+        # A same-instant event is pending; the clear-span guard must
+        # decline rather than pop across it.
         env = _env()
         ch = Channel(env, capacity=4, name="c")
         assert ch.try_put("a")
+        env.defer(0, lambda _event: None)
         assert ch.frame_pop() is None
+
+    def test_frame_pop_inline_after_bare_try_put(self):
+        # try_put schedules nothing (its put completion is unobservable),
+        # so the instant stays clear and the pop burns only the get's eid.
+        env = _env()
+        ch = Channel(env, capacity=4, name="c")
+        assert ch.try_put("a")
+        assert env._queue == []
+        eid = env._eid
+        assert ch.frame_pop() == "a"
+        assert env._eid == eid + 1
 
     def test_frame_pop_declines_on_shadowed_ring(self):
         env = _env()

@@ -1,9 +1,11 @@
 """Resource (counted slots + waiter queue) behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Resource
+from repro.sim.events import NORMAL
 
 
 @pytest.fixture
@@ -99,3 +101,97 @@ class TestResource:
         env.run(until=5)
         assert res.in_use == 1
         assert res.waiting == 1
+
+
+class TestAcquire:
+    """The callback twin: ``acquire(callback, priority)`` / ``free()``."""
+
+    def test_immediate_grant_takes_the_request_slot(self):
+        env_req, env_acq = Environment(), Environment()
+        Resource(env_req, 1).request()
+        eid = env_acq._eid
+        Resource(env_acq, 1).acquire(lambda _event: None)
+        assert env_acq._eid == eid + 1
+        assert env_acq._queue[0][:3] == env_req._queue[0][:3] \
+            == (env_acq.now, NORMAL, eid)
+
+    def test_immediate_grant_fires_at_now(self, env):
+        res = Resource(env, 2)
+        fired = []
+        env.timeout(3).callbacks.append(
+            lambda _event: res.acquire(lambda _e: fired.append(env.now)))
+        env.run()
+        assert fired == [3]
+        assert res.in_use == 1
+
+    def test_contended_acquire_queues_fifo_beside_requests(self, env):
+        from repro.faults.injector import SEIZE_PRIORITY
+
+        res = Resource(env, 1)
+        order = []
+
+        def via_request(name, priority=0):
+            req = res.request(priority)
+
+            def granted(_event):
+                order.append(name)
+                env.defer(1, lambda _e: req.release())
+            req.callbacks.append(granted)
+
+        def via_acquire(name, priority=0):
+            def granted(_event):
+                order.append(name)
+                env.defer(1, lambda _e: res.free())
+            res.acquire(granted, priority)
+
+        via_acquire("holder")
+        via_request("req-a")
+        via_acquire("acq-b")
+        via_request("seize", SEIZE_PRIORITY)
+        via_acquire("egress", -1)
+        via_request("req-c")
+        via_acquire("acq-d")
+        env.run()
+        assert order == ["holder", "seize", "egress", "req-a", "acq-b",
+                         "req-c", "acq-d"]
+        assert res.in_use == 0 and res.waiting == 0
+
+
+def _gauge_state(gauge):
+    return (gauge._value, gauge._area, gauge._last_change, gauge._max)
+
+
+def _replay(jobs, capacity, callback_api):
+    """Drive *jobs* (arrival, hold, priority) through one resource via
+    request/release or acquire/free; returns the observable outcome."""
+    env = Environment()
+    res = Resource(env, capacity)
+    grants = []
+
+    def arrive(name, hold, priority):
+        def granted(_event):
+            grants.append((name, env.now))
+            if callback_api:
+                env.defer(hold, lambda _e: res.free())
+            else:
+                env.defer(hold, lambda _e: req.release())
+        if callback_api:
+            res.acquire(granted, priority)
+        else:
+            req = res.request(priority)
+            req.callbacks.append(granted)
+
+    for name, (at, hold, priority) in enumerate(jobs):
+        env.defer(at, lambda _e, n=name, h=hold, p=priority: arrive(n, h, p))
+    env.run()
+    return (grants, env._eid, env.now, _gauge_state(res.utilization),
+            _gauge_state(res.queue_depth))
+
+
+@given(jobs=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 10),
+                               st.integers(-2, 1)),
+                     min_size=1, max_size=30),
+       capacity=st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_acquire_free_matches_request_release(jobs, capacity):
+    assert _replay(jobs, capacity, True) == _replay(jobs, capacity, False)
