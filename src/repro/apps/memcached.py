@@ -158,6 +158,8 @@ class _WorkerOp:
     def _after_tx(self, _event):
         server = self.server
         server.ops.count += 1               # inlined RateMeter.tick()
+        # Response-to-wire: where Lynx and the baselines count too.
+        server.env.requests_completed += 1
         response = self.response
         self.response = None
         server.nic.send_then(response, self._arm)

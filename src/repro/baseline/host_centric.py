@@ -76,27 +76,23 @@ class _HostRxOp:
     """One serving core's ingress loop as a callback state machine.
 
     Mirrors the retired ``_rx_loop`` generator process event for event:
-    NIC recv, control handling, stack rx cost on the serving pool (with
-    the pool's cache defaults, so E02's noisy-neighbor setup still
-    applies), CUDA-stream claim, then the detached per-request GPU
+    NIC recv, control handling, stack rx cost on the serving pool
+    (``CorePool.run_calibrated_then`` with the pool's cache defaults,
+    so E02's noisy-neighbor setup still applies), CUDA-stream claim
+    through ``Resource.acquire``, then the detached per-request GPU
     stage.  The app-specific ``_gpu_stage`` stays a generator — it is
     spawned through the pooled detached-task path, which consumes the
-    same schedule slot the old inline ``env.detached`` call did.
+    same schedule slot the old inline ``env.detached`` call did — and
+    frees its stream when it ends.
     """
 
-    __slots__ = ("server", "env", "pool", "msg", "request", "duration",
-                 "mi", "ws", "token")
+    __slots__ = ("server", "env", "pool", "msg")
 
     def __init__(self, server):
         self.server = server
         self.env = server.env
         self.pool = server.pool
         self.msg = None
-        self.request = None
-        self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
 
     def start(self):
         # URGENT kick at now: the slot Process.__init__ used to consume.
@@ -143,40 +139,13 @@ class _HostRxOp:
                 self.env, pool._res, duration, self._rx_stage_done,
                 pool=pool):
             return
-        self.duration = duration
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(self._rx_granted)
+        pool.run_calibrated_then(duration, self._after_rx)
 
-    def _rx_granted(self, _event):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            # _timed leg: LLC occupancy held for the span of the charge.
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(self._rx_charged)
-
-    def _rx_charged(self, _event):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
-        self._after_rx()
-
-    def _rx_stage_done(self, _event):
+    def _rx_stage_done(self, event):
         batchexec.unseize(self.pool._res)
-        self._after_rx()
+        self._after_rx(event)
 
-    def _after_rx(self):
+    def _after_rx(self, _event):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:
@@ -184,14 +153,13 @@ class _HostRxOp:
         server.requests.count += 1          # inlined RateMeter.tick()
         # Claim a CUDA stream (blocking claims backpressure into the
         # RX ring, which then drops — classic overloaded server).
-        stream = server.streams.request()
-        stream.callbacks.append(self._stream_granted)
+        server.streams.acquire(self._stream_granted)
 
-    def _stream_granted(self, stream):
+    def _stream_granted(self, _event):
         server = self.server
         msg = self.msg
         self.msg = None
-        server.env.detached(server._gpu_stage(msg, stream))
+        server.env.detached(server._gpu_stage(msg))
         self._arm()
 
 
@@ -275,14 +243,15 @@ class HostCentricServer:
     # Ingress lives in :class:`_HostRxOp`; only the per-request GPU
     # stage below still runs as a (detached) generator.
 
-    def _gpu_stage(self, msg, stream):
-        """The per-request asynchronous stream pipeline + reply."""
+    def _gpu_stage(self, msg):
+        """The per-request asynchronous stream pipeline + reply, on a
+        CUDA stream already claimed by the ingress op."""
         try:
             gpu = self.gpus[next(self._rr) % len(self.gpus)]
             ctx = HostContext(self, gpu)
             result = yield from self.app.handle_host(ctx, msg)
         finally:
-            stream.release()
+            self.streams.free()
         if result is None:
             return
         response = msg.reply(result, created_at=self.env.now)

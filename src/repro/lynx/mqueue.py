@@ -192,7 +192,8 @@ class MQueue:
         if self.tx_doorbell is None:
             raise ConfigError("mqueue %s is not registered with an RMQ manager"
                               % self.name)
-        self.tx_doorbell.put(self)
+        # Nobody waits on the doorbell write itself: no dead put event.
+        self.tx_doorbell.try_put(self)
 
     # -- fault recovery -----------------------------------------------------------
 

@@ -32,7 +32,7 @@ Delivery runs as small callback state machines (:class:`_DeliveryOp`,
 A *single* blocking worker coroutine would serialize QP arbitration
 and kill the op-level pipelining the RDMA engine models, so the state
 machines keep the exact event sequence of the old per-message
-processes — one URGENT kick, then request → occupancy → release →
+processes — one URGENT kick, then grant → occupancy → free →
 latency per RDMA op — which keeps results bit-identical under a fixed
 seed while spawning zero processes per message.
 
@@ -45,6 +45,7 @@ so an unresponsive accelerator cannot build an unbounded backlog.
 """
 
 from collections import deque
+from itertools import compress
 
 from ..errors import ConfigError
 from ..sim import Channel
@@ -52,27 +53,70 @@ from .. import telemetry
 from .mqueue import METADATA_BYTES, MQueueEntry
 
 
-class _DeliveryOp:
-    """One in-flight ingress delivery on the manager's QP.
+class _OpLadder:
+    """An RDMA op ladder on the manager's QP, as plain callbacks.
 
-    Mirrors the retired ``_rdma_deliver`` generator step for step, as
-    plain callbacks on pooled events: for each RDMA op in the plan,
-    claim the engine channel's issue slot, hold it for the wire
-    occupancy, release, then let the op latency elapse in the pipeline.
-    The record itself is recycled onto ``manager._op_pool`` after the
-    final op.
+    Mirrors the retired ``_rdma_deliver`` generator step for step: for
+    each RDMA op in ``plan``, claim the engine channel's issue slot,
+    hold it for the wire occupancy, free it, then let the op latency
+    elapse in the pipeline.  Subclasses set up the plan and say what
+    happens once its last op lands (:meth:`_landed`).
     """
 
-    __slots__ = ("manager", "mq", "msg", "entry", "plan", "index", "request")
+    __slots__ = ("manager", "plan", "index")
 
     def __init__(self, manager):
         self.manager = manager
+        self.plan = None
+        self.index = 0
+
+    def _post(self):
+        """Claim the engine channel's issue slot for the current op."""
+        self.manager.channel.issue.acquire(self._granted)
+
+    def _granted(self, _event):
+        occupancy = self.plan[self.index][0]
+        self.manager.env.defer(occupancy, self._occupied)
+
+    def _occupied(self, _event):
+        # Free before scheduling the latency leg, exactly like the old
+        # `with request: yield occupancy` block: a queued op (or the
+        # egress sweep) grabs the issue slot first.
+        manager = self.manager
+        channel = manager.channel
+        channel.issue.free()
+        _, latency, nbytes = self.plan[self.index]
+        qp = manager.qp
+        qp.ops += 1
+        channel.sent += 1
+        if nbytes is not None:
+            qp.bytes_moved += nbytes
+            channel.bytes_moved += nbytes
+        manager.engine.ops_posted += 1
+        manager.env.defer(latency, self._op_done)
+
+    def _op_done(self, _event):
+        self.index += 1
+        if self.index < len(self.plan):
+            self._post()
+            return
+        self.plan = None
+        self._landed()
+
+
+class _DeliveryOp(_OpLadder):
+    """One in-flight ingress delivery on the manager's QP.
+
+    The record is recycled onto ``manager._op_pool`` after the final op.
+    """
+
+    __slots__ = ("mq", "msg", "entry")
+
+    def __init__(self, manager):
+        super().__init__(manager)
         self.mq = None
         self.msg = None
         self.entry = None
-        self.plan = None
-        self.index = 0
-        self.request = None
 
     def start(self, mq, msg):
         self.mq = mq
@@ -90,46 +134,14 @@ class _DeliveryOp:
         self.index = 0
         self._post()
 
-    def _post(self):
-        """Claim the engine channel's issue slot for the current op."""
-        request = self.manager.channel.issue.request()
-        self.request = request
-        request.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        occupancy = self.plan[self.index][0]
-        self.manager.env.defer(occupancy, self._occupied)
-
-    def _occupied(self, _event):
-        # Release before scheduling the latency leg, exactly like the
-        # old `with request: yield occupancy` block: a queued op (or the
-        # egress sweep) grabs the issue slot first.
-        manager = self.manager
-        self.request.release()
-        self.request = None
-        _, latency, nbytes = self.plan[self.index]
-        qp = manager.qp
-        qp.ops += 1
-        channel = manager.channel
-        channel.sent += 1
-        if nbytes is not None:
-            qp.bytes_moved += nbytes
-            channel.bytes_moved += nbytes
-        manager.engine.ops_posted += 1
-        manager.env.defer(latency, self._op_done)
-
-    def _op_done(self, _event):
-        self.index += 1
-        if self.index < len(self.plan):
-            self._post()
-            return
+    def _landed(self):
         manager = self.manager
         manager.deliveries += 1
         msg = self.msg
         if msg.meta is not None:
             msg.meta["t_delivered"] = manager.env.now
         mq, entry = self.mq, self.entry
-        self.mq = self.msg = self.entry = self.plan = None
+        self.mq = self.msg = self.entry = None
         if len(manager._op_pool) < manager.OP_POOL_CAP:
             manager._op_pool.append(self)
         if manager.env.frame_exec:
@@ -138,7 +150,7 @@ class _DeliveryOp:
             mq.complete_rx(entry)
 
 
-class _BatchDeliveryOp:
+class _BatchDeliveryOp(_OpLadder):
     """Coalesced ingress (§5.2 batching): one op ladder per batch.
 
     At most one batch is in flight per manager; deliveries arriving
@@ -149,14 +161,11 @@ class _BatchDeliveryOp:
     backlog is non-empty.
     """
 
-    __slots__ = ("manager", "batch", "plan", "index", "request")
+    __slots__ = ("batch",)
 
     def __init__(self, manager):
-        self.manager = manager
+        super().__init__(manager)
         self.batch = None
-        self.plan = None
-        self.index = 0
-        self.request = None
 
     def enqueue(self, mq, msg):
         manager = self.manager
@@ -185,35 +194,7 @@ class _BatchDeliveryOp:
         self.index = 0
         self._post()
 
-    def _post(self):
-        request = self.manager.channel.issue.request()
-        self.request = request
-        request.callbacks.append(self._granted)
-
-    def _granted(self, _event):
-        occupancy = self.plan[self.index][0]
-        self.manager.env.defer(occupancy, self._occupied)
-
-    def _occupied(self, _event):
-        manager = self.manager
-        self.request.release()
-        self.request = None
-        _, latency, nbytes = self.plan[self.index]
-        qp = manager.qp
-        qp.ops += 1
-        channel = manager.channel
-        channel.sent += 1
-        if nbytes is not None:
-            qp.bytes_moved += nbytes
-            channel.bytes_moved += nbytes
-        manager.engine.ops_posted += 1
-        manager.env.defer(latency, self._op_done)
-
-    def _op_done(self, _event):
-        self.index += 1
-        if self.index < len(self.plan):
-            self._post()
-            return
+    def _landed(self):
         manager = self.manager
         now = manager.env.now
         # self.batch stays non-None through the completions: an
@@ -232,7 +213,6 @@ class _BatchDeliveryOp:
                 mq.complete_rx_frame(entry)
             else:
                 mq.complete_rx(entry)
-        self.plan = None
         if manager._backlog:
             self.batch = ()
             manager.env._kick(self._begin)
@@ -250,12 +230,10 @@ class _PollerOp:
     each consuming the same schedule slots in the same order.
     """
 
-    __slots__ = ("manager", "request", "duration", "nbytes", "pending",
-                 "stage")
+    __slots__ = ("manager", "duration", "nbytes", "pending", "stage")
 
     def __init__(self, manager):
         self.manager = manager
-        self.request = None
         self.duration = 0.0
         self.nbytes = 0
         self.pending = None
@@ -282,18 +260,15 @@ class _PollerOp:
                      * max(1, len(manager.mqueues)))
         # run_compute(scan_cost, priority=-1): a plain charge once granted.
         self.duration = scan_cost / workers.profile.speed_factor
-        req = workers._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._scan_granted)
+        workers._res.acquire(self._scan_granted, -1)
 
     def _scan_granted(self, _event):
         charge = self.manager.env.charge(self.duration)
         charge.callbacks.append(self._scan_charged)
 
     def _scan_charged(self, _event):
-        self.request.release()
-        self.request = None
         manager = self.manager
+        manager.workers._res.free()
         # Doorbells are *discovered* by reading the notification region
         # over RDMA — one read round trip per sweep (§4.3: "both the
         # accelerator and the SNIC use polling").
@@ -301,14 +276,12 @@ class _PollerOp:
         self._read(4 * max(1, len(manager.mqueues)))
 
     # engine.read(qp, nbytes) through the engine channel, as callbacks:
-    # claim the issue slot, hold it for the wire occupancy, release,
+    # claim the issue slot, hold it for the wire occupancy, free it,
     # then the round-trip latency.
 
     def _read(self, nbytes):
         self.nbytes = nbytes
-        req = self.manager.channel.issue.request()
-        self.request = req
-        req.callbacks.append(self._read_granted)
+        self.manager.channel.issue.acquire(self._read_granted)
 
     def _read_granted(self, _event):
         manager = self.manager
@@ -317,13 +290,12 @@ class _PollerOp:
 
     def _read_occupied(self, _event):
         manager = self.manager
-        self.request.release()
-        self.request = None
+        channel = manager.channel
+        channel.issue.free()
         engine = manager.engine
         qp = manager.qp
         qp.ops += 1
         qp.bytes_moved += self.nbytes
-        channel = manager.channel
         channel.sent += 1
         channel.bytes_moved += self.nbytes
         engine.ops_posted += 1
@@ -335,23 +307,16 @@ class _PollerOp:
         if self.stage == 1:
             pending = []
             total_bytes = 0
+            # §5.2: fetch up to poll_batch entries per mqueue per poll
+            # (0: all of them); the remainder is picked up by the next
+            # paced sweep.  The scan cost above covers every ring, but
+            # an empty ring yields nothing and popping it has no side
+            # effect, so only rings holding entries are touched.
             limit = manager.poll_batch
-            if limit:
-                # §5.2: fetch up to N entries per mqueue per poll; the
-                # remainder is picked up by the next paced sweep.
-                for mq in manager.mqueues:
-                    batch = mq.tx_ring.recv_batch(limit)
-                    for entry in batch:
-                        pending.append((mq, entry))
-                        total_bytes += entry.size + METADATA_BYTES
-            else:
-                for mq in manager.mqueues:
-                    while True:
-                        entry = mq.tx_ring.try_get()
-                        if entry is None:
-                            break
-                        pending.append((mq, entry))
-                        total_bytes += entry.size + METADATA_BYTES
+            for mq in compress(manager.mqueues, manager._tx_items):
+                for entry in mq.tx_ring.recv_batch(limit):
+                    pending.append((mq, entry))
+                    total_bytes += entry.size + METADATA_BYTES
             if not pending:
                 self._after_sweep(0)
                 return
@@ -414,6 +379,9 @@ class RemoteMQManager:
         self.name = name or "rmq-%s" % getattr(accelerator, "name", "accel")
         self.mqueues = []
         self._mqueue_set = set()
+        #: each mqueue's TX-ring buffer, parallel to ``mqueues``: truthy
+        #: exactly when the ring holds entries (see _PollerOp._read_done)
+        self._tx_items = []
         self._op_pool = []
         self._backlog = deque()
         self._batcher = (_BatchDeliveryOp(self)
@@ -446,6 +414,7 @@ class RemoteMQManager:
         mq.tx_doorbell = self._doorbells
         self.mqueues.append(mq)
         self._mqueue_set.add(mq)
+        self._tx_items.append(mq.tx_ring._items)
         return mq
 
     def on_tx(self, callback):

@@ -60,14 +60,16 @@ class _RxOp:
     Mirrors the retired ``_rx_loop``/``_handle_rx`` generator pair step
     for step: NIC recv -> stack rx cost -> dispatch cost -> RDMA post
     cost -> delivery, with each pool occupancy expressed as the same
-    request/charge/release event triple ``CorePool.run_calibrated`` /
-    ``run_compute`` scheduled.  One op per worker core lives for the
-    whole simulation, so steady-state ingress allocates nothing.
+    grant/charge/free event triple ``CorePool.run_calibrated`` /
+    ``run_compute`` scheduled.  The calibrated legs run through
+    ``CorePool.run_calibrated_then`` and the dispatch leg takes its
+    grant through ``Resource.acquire``, so steady-state ingress
+    allocates nothing.  One op per worker core lives for the whole
+    simulation.
     """
 
     __slots__ = ("server", "env", "pool", "msg", "mq", "manager",
-                 "binding", "request", "duration", "mi", "ws", "token",
-                 "_t1", "_t2")
+                 "binding", "duration", "_t1", "_t2")
 
     def __init__(self, server):
         self.server = server
@@ -77,11 +79,7 @@ class _RxOp:
         self.mq = None
         self.manager = None
         self.binding = None
-        self.request = None
         self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
         #: frame execution: stage-boundary timestamps of a turbo span
         self._t1 = 0.0
         self._t2 = 0.0
@@ -228,55 +226,15 @@ class _RxOp:
                                               duration, self._rx_stage_done,
                                               pool=self.pool):
             return
-        self._acquire_calibrated(duration, self._rx_granted)
-
-    # -- pool occupancy (twins of CorePool.run_calibrated/_timed) ----------
-
-    def _acquire_calibrated(self, duration, granted):
-        pool = self.pool
-        self.duration = duration
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(granted)
-
-    def _charge_calibrated(self, charged):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            # _timed leg: hold LLC occupancy for the span of the charge
-            # (occupy before computing the penalty, like the generator).
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(charged)
-
-    def _release_calibrated(self):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
+        self.pool.run_calibrated_then(duration, self._after_rx)
 
     # -- phases ------------------------------------------------------------
 
-    def _rx_granted(self, _event):
-        self._charge_calibrated(self._rx_charged)
-
-    def _rx_charged(self, _event):
-        self._release_calibrated()
-        self._after_rx()
-
-    def _rx_stage_done(self, _event):
+    def _rx_stage_done(self, event):
         batchexec.unseize(self.pool._res)
-        self._after_rx()
+        self._after_rx(event)
 
-    def _after_rx(self):
+    def _after_rx(self, _event):
         server = self.server
         msg = self.msg
         if msg.proto == TCP and msg.conn is not None:
@@ -307,16 +265,13 @@ class _RxOp:
                                               self._cmp_stage_done):
             return
         self.duration = duration
-        req = pool._res.request(0)
-        self.request = req
-        req.callbacks.append(self._cmp_granted)
+        pool._res.acquire(self._cmp_granted)
 
     def _cmp_granted(self, _event):
         self.env.charge(self.duration).callbacks.append(self._cmp_charged)
 
     def _cmp_charged(self, _event):
-        self.request.release()
-        self.request = None
+        self.pool._res.free()
         self._after_cmp()
 
     def _cmp_stage_done(self, _event):
@@ -349,7 +304,7 @@ class _RxOp:
                                               duration, self._post_stage_done,
                                               pool=self.pool):
             return
-        self._acquire_calibrated(duration, self._post_granted)
+        self.pool.run_calibrated_then(duration, self._after_post)
 
     def _shed(self, mq):
         """Graceful degradation: the accelerator behind *mq* is dark.
@@ -372,18 +327,11 @@ class _RxOp:
             server.dropped += 1
         self._arm()
 
-    def _post_granted(self, _event):
-        self._charge_calibrated(self._post_charged)
-
-    def _post_charged(self, _event):
-        self._release_calibrated()
-        self._after_post()
-
-    def _post_stage_done(self, _event):
+    def _post_stage_done(self, event):
         batchexec.unseize(self.pool._res)
-        self._after_post()
+        self._after_post(event)
 
-    def _after_post(self):
+    def _after_post(self, _event):
         # Ring-full drops are counted once, by the mqueue itself;
         # ``server.dropped`` tracks only undeliverable traffic.
         manager, mq, msg = self.manager, self.mq, self.msg
@@ -396,13 +344,15 @@ class _TxOp:
     """One in-flight egress (accelerator -> client) forward.
 
     Mirrors the retired ``_handle_tx`` detached task step for step:
-    forward cost at egress priority, response build, stack tx cost,
-    then wire serialization on the NIC TX resource.  Op records are
-    pooled on the server (``_tx_op_pool``).
+    forward cost at egress priority, response build, stack tx cost
+    (through ``CorePool.run_calibrated_then``), then wire serialization
+    on the NIC TX issue slot.  Every grant goes through
+    ``Resource.acquire``; op records are pooled on the server
+    (``_tx_op_pool``).
     """
 
     __slots__ = ("server", "env", "pool", "mq", "entry", "response",
-                 "request", "duration", "mi", "ws", "token", "_t1", "_t3")
+                 "duration", "_t1", "_t3")
 
     def __init__(self, server):
         self.server = server
@@ -411,11 +361,7 @@ class _TxOp:
         self.mq = None
         self.entry = None
         self.response = None
-        self.request = None
         self.duration = 0.0
-        self.mi = 0.0
-        self.ws = 0
-        self.token = None
         #: frame execution: stage-boundary timestamps of a turbo span
         self._t1 = 0.0
         self._t3 = 0.0
@@ -442,9 +388,7 @@ class _TxOp:
                                               self._fwd_stage_done):
             return
         self.duration = duration
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._fwd_granted)
+        pool._res.acquire(self._fwd_granted, -1)
 
     def _begin_swept(self, _event):
         """Scalar ``_begin`` body for sweep-coalesced starts — no turbo.
@@ -458,9 +402,7 @@ class _TxOp:
         pool = self.pool
         self.duration = (self.server.profile.forward_cost
                          / pool.profile.speed_factor)
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._fwd_granted)
+        pool._res.acquire(self._fwd_granted, -1)
 
     # -- frame execution (DESIGN.md §4.14) ---------------------------------
 
@@ -562,8 +504,7 @@ class _TxOp:
         self.env.charge(self.duration).callbacks.append(self._fwd_charged)
 
     def _fwd_charged(self, _event):
-        self.request.release()
-        self.request = None
+        self.pool._res.free()
         self._after_fwd()
 
     def _fwd_stage_done(self, _event):
@@ -591,39 +532,13 @@ class _TxOp:
         if self.env.frame_exec and _try_stage(self.env, pool._res, duration,
                                               self._tx_stage_done, pool=pool):
             return
-        self.duration = duration
-        self.mi = pool.default_memory_intensity
-        self.ws = pool.default_working_set
-        req = pool._res.request(-1)
-        self.request = req
-        req.callbacks.append(self._tx_granted)
+        pool.run_calibrated_then(duration, self._after_txleg, priority=-1)
 
-    def _tx_granted(self, _event):
-        llc = self.pool.llc
-        duration = self.duration
-        if llc is None or self.ws <= 0:
-            if llc is not None and self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        else:
-            self.token = llc.occupy(self.ws)
-            if self.mi > 0:
-                duration *= llc.penalty(self.mi)
-        self.env.charge(duration).callbacks.append(self._tx_charged)
-
-    def _tx_charged(self, _event):
-        token = self.token
-        if token is not None:
-            self.pool.llc.release(token)
-            self.token = None
-        self.request.release()
-        self.request = None
-        self._after_txleg()
-
-    def _tx_stage_done(self, _event):
+    def _tx_stage_done(self, event):
         batchexec.unseize(self.pool._res)
-        self._after_txleg()
+        self._after_txleg(event)
 
-    def _after_txleg(self):
+    def _after_txleg(self, _event):
         server = self.server
         server.responses.count += 1       # inlined RateMeter.tick()
         mq = self.mq
@@ -643,9 +558,7 @@ class _TxOp:
         if self.env.frame_exec and _try_stage(self.env, issue, duration,
                                               self._wire_stage_done):
             return
-        req = issue.request()
-        self.request = req
-        req.callbacks.append(self._wire_granted)
+        issue.acquire(self._wire_granted)
 
     def _wire_granted(self, _event):
         tx = self.server.nic.tx
@@ -653,8 +566,7 @@ class _TxOp:
         charge.callbacks.append(self._wire_charged)
 
     def _wire_charged(self, _event):
-        self.request.release()
-        self.request = None
+        self.server.nic.tx.issue.free()
         self._after_wire()
 
     def _wire_stage_done(self, _event):

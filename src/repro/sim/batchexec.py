@@ -36,8 +36,6 @@ Only scheduler-kernel counters (``events_processed``, ``charges_*``,
 the whole point (see ``sim.kernel.events_per_request``).
 """
 
-from heapq import heappop
-
 import numpy as np
 
 from .store import Store
@@ -160,36 +158,11 @@ def seize(res):
 
 
 def unseize(res):
-    """Return a :func:`seize`'d slot exactly as ``Resource._do_release``
-    would — including granting any waiters that parked meanwhile (a
-    scalar competitor admitted at the span's start time can legally be
-    waiting here).
-    """
-    res._in_use -= 1
-    waiters = res._waiters
-    while waiters and res._in_use < res.capacity:
-        _, _, nxt = heappop(waiters)
-        if nxt.triggered:
-            continue
-        res._grant(nxt)
-    gauge = res.queue_depth
-    value = len(waiters)
-    if value != gauge._value:
-        now = res.env.now
-        gauge._area += gauge._value * (now - gauge._last_change)
-        gauge._value = value
-        gauge._last_change = now
-        if value > gauge._max:
-            gauge._max = value
-    gauge = res.utilization
-    value = res._in_use / res.capacity
-    if value != gauge._value:
-        now = res.env.now
-        gauge._area += gauge._value * (now - gauge._last_change)
-        gauge._value = value
-        gauge._last_change = now
-        if value > gauge._max:
-            gauge._max = value
+    """Return a :func:`seize`'d slot exactly as ``Resource.free`` does —
+    including granting any waiters that parked meanwhile (a scalar
+    competitor admitted at the span's start time can legally be waiting
+    here)."""
+    res.free()
 
 
 def try_stage(env, res, duration, done, pool=None):

@@ -374,18 +374,19 @@ class Channel(Store):
     def complete_claim(self, item):
         """Finish a claimed in-flight transfer: *item* becomes visible.
 
-        The put cannot block — claim accounting guarantees space.
+        The put cannot block — claim accounting guarantees space — and
+        nobody waits on its completion, so it goes through
+        :meth:`Store.try_put`, which burns the dead put event's schedule
+        slot instead of building it.
         """
         if self._claimed <= 0:
             raise CapacityError("completing an unclaimed slot on %s"
                                 % self.name)
-        self.delivered += 1
-        put = Store.put(self, item)
-        if not put.triggered:
+        if not Store.try_put(self, item):
             raise CapacityError("overflow on %s despite claim" % self.name)
+        self.delivered += 1
         if self._tracer is not None:
             self._tracer.emit(self.name, "enq", _msg_id(item))
-        return put
 
     # -- batch dequeue -----------------------------------------------------
 

@@ -15,7 +15,7 @@ the holder returns the slot with ``resource.free()``.
 """
 
 import heapq
-from heapq import heappush
+from heapq import heappop, heappush
 from itertools import count
 
 from ..errors import SimulationError
@@ -89,11 +89,12 @@ class Resource:
         """Callback twin of :meth:`request`: call *callback(event)* once
         a slot is granted; the holder returns it with :meth:`free`.
 
-        A free slot is granted through a pooled ``env.defer(0, ...)`` —
-        the same (now, NORMAL, eid) schedule slot the granted
-        :class:`Request` would take — so nothing is allocated.  Only a
-        contended acquire parks a :class:`Request`, queued FIFO within
-        its priority beside every other waiter.
+        A slot is granted through a pooled ``env.defer(0, ...)`` — the
+        same (now, NORMAL, eid) schedule slot the granted
+        :class:`Request` would take — so nothing is allocated.  A
+        contended acquire parks the bare callback as ``(priority, order,
+        callback)`` in the waiter heap, FIFO within its priority beside
+        every :class:`Request` waiter.
         """
         if self._in_use < self.capacity and not self._waiters:
             in_use = self._in_use + 1
@@ -109,7 +110,7 @@ class Resource:
                     gauge._max = value
             self.env.defer(0, callback)
         else:
-            Request(self, priority).callbacks.append(callback)
+            self._park((priority, next(self._order), callback))
 
     def free(self):
         """Return a slot granted through :meth:`acquire`."""
@@ -138,16 +139,21 @@ class Resource:
         if self._in_use < self.capacity and not self._waiters:
             self._grant(req)
         else:
-            heapq.heappush(self._waiters, (req.priority, next(self._order), req))
-            gauge = self.queue_depth
-            value = len(self._waiters)
-            if value != gauge._value:
-                now = self.env.now
-                gauge._area += gauge._value * (now - gauge._last_change)
-                gauge._value = value
-                gauge._last_change = now
-                if value > gauge._max:
-                    gauge._max = value
+            self._park((req.priority, next(self._order), req))
+
+    def _park(self, entry):
+        """Queue a waiter entry ``(priority, order, Request or callback)``."""
+        waiters = self._waiters
+        heappush(waiters, entry)
+        gauge = self.queue_depth
+        value = len(waiters)
+        if value != gauge._value:
+            now = self.env.now
+            gauge._area += gauge._value * (now - gauge._last_change)
+            gauge._value = value
+            gauge._last_change = now
+            if value > gauge._max:
+                gauge._max = value
 
     def _grant(self, req):
         in_use = self._in_use + 1
@@ -162,8 +168,8 @@ class Resource:
             if value > gauge._max:
                 gauge._max = value
         # Inlined req.succeed(req): a Request is only ever triggered
-        # here (or failed by cancel), so the double-trigger guard is
-        # redundant on this, the hottest resource path.
+        # here or in _settle (or failed by cancel), so the
+        # double-trigger guard is redundant on this hot path.
         req._ok = True
         req._value = req
         env = self.env
@@ -179,13 +185,34 @@ class Resource:
         self._settle()
 
     def _settle(self):
-        """Grant freed slots to waiters and update both gauges."""
+        """Grant freed slots to waiters and update both gauges.
+
+        The one loop that grants from the waiter heap.  A parked
+        :meth:`acquire` callback gets its slot through ``env.defer(0)``,
+        the (now, NORMAL, eid) slot a granted :class:`Request` takes;
+        requests already triggered (failed or withdrawn) are skipped.
+        Every grant happens at the current instant with ``in_use``
+        rising, so one utilization update at the end leaves the gauge
+        exactly as a per-grant update would.
+        """
         waiters = self._waiters
-        while waiters and self._in_use < self.capacity:
-            _, _, nxt = heapq.heappop(waiters)
-            if nxt.triggered:  # cancelled entries are left triggered/failed
-                continue
-            self._grant(nxt)
+        env = self.env
+        in_use = self._in_use
+        capacity = self.capacity
+        while waiters and in_use < capacity:
+            _, _, nxt = heappop(waiters)
+            if nxt.__class__ is not Request:
+                in_use += 1
+                env.defer(0, nxt)
+            elif nxt._value is PENDING:
+                in_use += 1
+                # Inlined nxt.succeed(nxt), as in _grant.
+                nxt._ok = True
+                nxt._value = nxt
+                eid = env._eid
+                env._eid = eid + 1
+                heappush(env._queue, (env.now, NORMAL, eid, nxt))
+        self._in_use = in_use
         gauge = self.queue_depth
         value = len(waiters)
         if value != gauge._value:
@@ -196,7 +223,7 @@ class Resource:
             if value > gauge._max:
                 gauge._max = value
         gauge = self.utilization
-        value = self._in_use / self.capacity
+        value = in_use / capacity
         if value != gauge._value:
             now = self.env.now
             gauge._area += gauge._value * (now - gauge._last_change)

@@ -82,6 +82,18 @@ class TestMemcachedServer:
         assert gen.completed > 20
         assert server.store.misses > 20
 
+    def test_responses_count_as_completed_requests(self):
+        """Each response put on the wire bumps ``env.requests_completed``,
+        where the Lynx and baseline servers count theirs, so
+        events/request is honest for memcached runs too."""
+        tb, server = build_server()
+        ClosedLoopGenerator(tb.env, tb.client("10.0.1.1"),
+                            Address("10.0.0.2", 11211), concurrency=4,
+                            payload_fn=lambda i: encode_get(b"k"), proto=UDP)
+        tb.run(until=2000)
+        assert server.ops.count > 0
+        assert tb.env.requests_completed == server.ops.count
+
     def test_negative_op_cost_rejected(self):
         tb = Testbed()
         host = tb.machine("10.0.0.2")

@@ -79,6 +79,20 @@ def test_events_processed_pinned(fn, args, kwargs, events):
     assert _events(fn, *args, **kwargs) == events
 
 
+def test_memcached_responses_count_as_completed_requests():
+    """E12 placement A: ``requests_completed`` covers memcached, not
+    only the LeNet responses Lynx sends (events/request read ~8,000
+    while memcached went uncounted)."""
+    with telemetry.scope() as reg:
+        e12._config_a(42, 1000.0)
+        snap = reg.snapshot()
+    completed = snap["sim.kernel.requests_completed"]["value"]
+    lenet = snap["lynx.server.lynx@10.0.0.100.tx.responses"]["count"]
+    memcached_window = snap["net.client.10.0.9.1.responses"]["count"]
+    assert completed - lenet > memcached_window > 0
+    assert snap["sim.kernel.events_per_request"]["value"] < 100
+
+
 def test_tcp_closed_loop_events_pinned():
     assert [events for events, _, _ in _tcp_memcached([20000.0])] == \
         [EVENTS_TCP_CLOSED_LOOP]

@@ -166,6 +166,33 @@ class TestSeizeUnseize:
         env.run()
         assert granted == [3.0]
 
+    def test_unseize_grants_parked_callback_like_a_request(self):
+        # A contended acquire() parks a bare callback; unseize must
+        # grant it in the schedule slot a parked Request would get,
+        # with the same gauge arithmetic.
+        def run(parked_callback):
+            env = _env()
+            res = Resource(env, 1, name="r")
+            batchexec.seize(res)
+            granted = []
+
+            def on_grant(_event):
+                granted.append(env.now)
+                env.defer(2.0, lambda _e: res.free())
+            if parked_callback:
+                res.acquire(on_grant, -1)
+            else:
+                res.request(-1).callbacks.append(on_grant)
+            env.defer_at(3.0, lambda _e: batchexec.unseize(res))
+            env.run()
+            return (granted, env._eid, res.in_use,
+                    [(g._value, g._area, g._last_change, g._max)
+                     for g in (res.utilization, res.queue_depth)])
+
+        parked = run(True)
+        assert parked[0] == [3.0]
+        assert parked == run(False)
+
 
 class TestTryStage:
     def test_coalesces_grant_and_charge_into_one_event(self):

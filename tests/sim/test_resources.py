@@ -156,33 +156,75 @@ class TestAcquire:
                          "req-c", "acq-d"]
         assert res.in_use == 0 and res.waiting == 0
 
+    def test_contended_acquire_parks_the_bare_callback(self, env):
+        res = Resource(env, 1)
+        res.acquire(lambda _event: None)
+
+        def granted(_event):
+            pass
+        res.acquire(granted, -1)
+        assert res.waiting == 1
+        assert res._waiters[0][0] == -1 and res._waiters[0][2] is granted
+
+    def test_cancelled_request_between_parked_callbacks_is_skipped(self, env):
+        res = Resource(env, 1)
+        order = []
+
+        def via_acquire(name):
+            def granted(_event):
+                order.append((name, env.now))
+                env.defer(1, lambda _e: res.free())
+            res.acquire(granted)
+
+        via_acquire("holder")
+        via_acquire("acq-a")
+        withdrawn = res.request()
+        withdrawn.callbacks.append(lambda _e: order.append(("withdrawn",)))
+        via_acquire("acq-b")
+        assert res.waiting == 3
+        withdrawn.cancel()
+        assert res.waiting == 2
+        env.run()
+        assert order == [("holder", 0), ("acq-a", 1), ("acq-b", 2)]
+        assert res.in_use == 0 and res.waiting == 0
+        assert res.queue_depth._value == 0
+
 
 def _gauge_state(gauge):
     return (gauge._value, gauge._area, gauge._last_change, gauge._max)
 
 
-def _replay(jobs, capacity, callback_api):
-    """Drive *jobs* (arrival, hold, priority) through one resource via
-    request/release or acquire/free; returns the observable outcome."""
+#: how one job of :func:`_replay` claims its slot
+REQUEST, ACQUIRE, CANCELLED = range(3)
+
+
+def _replay(jobs, capacity):
+    """Drive *jobs* (arrival, hold, priority, kind, cancel delay) through
+    one resource, mixing request/release and acquire/free waiters; a
+    CANCELLED job is a Request withdrawn after its delay unless granted
+    by then.  Returns the observable outcome."""
     env = Environment()
     res = Resource(env, capacity)
     grants = []
 
-    def arrive(name, hold, priority):
+    def arrive(name, hold, priority, kind, cancel_after):
         def granted(_event):
             grants.append((name, env.now))
-            if callback_api:
+            if kind == ACQUIRE:
                 env.defer(hold, lambda _e: res.free())
             else:
                 env.defer(hold, lambda _e: req.release())
-        if callback_api:
+        if kind == ACQUIRE:
             res.acquire(granted, priority)
-        else:
-            req = res.request(priority)
-            req.callbacks.append(granted)
+            return
+        req = res.request(priority)
+        req.callbacks.append(granted)
+        if kind == CANCELLED:
+            env.defer(cancel_after, lambda _e: req.cancel())
 
-    for name, (at, hold, priority) in enumerate(jobs):
-        env.defer(at, lambda _e, n=name, h=hold, p=priority: arrive(n, h, p))
+    for name, (at, hold, priority, kind, cancel_after) in enumerate(jobs):
+        env.defer(at, lambda _e, n=name, h=hold, p=priority, k=kind,
+                  c=cancel_after: arrive(n, h, p, k, c))
     env.run()
     return (grants, env._eid, env.now, _gauge_state(res.utilization),
             _gauge_state(res.queue_depth))
@@ -194,4 +236,25 @@ def _replay(jobs, capacity, callback_api):
        capacity=st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_acquire_free_matches_request_release(jobs, capacity):
-    assert _replay(jobs, capacity, True) == _replay(jobs, capacity, False)
+    def claimed(kind):
+        return [(at, hold, priority, kind, 0) for at, hold, priority in jobs]
+    assert _replay(claimed(ACQUIRE), capacity) == \
+        _replay(claimed(REQUEST), capacity)
+
+
+@given(jobs=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 10),
+                               st.integers(-2, 1),
+                               st.sampled_from((REQUEST, ACQUIRE, CANCELLED)),
+                               st.integers(0, 6)),
+                     min_size=1, max_size=30),
+       capacity=st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_mixed_waiters_match_request_release(jobs, capacity):
+    """Parked callbacks interleaved with Request waiters (some of them
+    cancelled while queued) give the grants, schedule and gauges of the
+    same jobs claimed through requests alone."""
+    as_requests = [(at, hold, priority,
+                    REQUEST if kind == ACQUIRE else kind, cancel_after)
+                   for at, hold, priority, kind, cancel_after in jobs]
+    assert _replay(jobs, capacity) == _replay(as_requests,
+                                                          capacity)
