@@ -1,19 +1,13 @@
 """Simulator-throughput benchmarks for the DES kernel fast path.
 
-Six measurements, written to ``benchmarks/results/kernel_throughput.json``:
+Four measurements, written to ``benchmarks/results/kernel_throughput.json``:
 
 * **kernel churn** — a pure event ping-pong through the run loop
   (pooled charges, no model code), reported as events/second from the
-  kernel's own counters; measured per scheduler backend (heap and
-  wheel), each gated against its own recorded floor;
-* **landing churn** — the workload the calendar-queue backend exists
-  for: homogeneous 64-message Channel bursts coalesced by the landing
-  table into vectorized deliveries.  Run as interleaved heap/wheel
-  pairs and gated on the wheel:heap rate ratio (>= 2x, DESIGN.md
-  §4.11) so the gate is immune to machine-speed drift;
+  kernel's own counters and gated against its recorded floor;
 * **frame churn** — the frame-execution workload (DESIGN.md §4.14): a
   synthetic data-plane op running a multi-stage grant+charge chain per
-  message, interleaved scalar/frame pairs on one backend, gated on the
+  message, interleaved scalar/frame pairs, gated on the
   frame:scalar message-rate ratio (>= 3x, machine-independent);
 * **E09 / E04 fast runs** — wall-clock of the two experiment runs the
   fast-path work targeted (LeNet serving and the Fig 6 saturation
@@ -34,8 +28,7 @@ import time
 
 import pytest
 
-from repro.sim import Environment, Resource, WheelEnvironment, batchexec
-from repro.sim.channel import Channel
+from repro.sim import Environment, Resource, batchexec
 
 from conftest import RESULTS_DIR, SEED
 
@@ -51,16 +44,6 @@ BASELINE_CALIBRATION_SECONDS = 0.1944
 #: post-optimisation dev-machine churn rate was ~1.07M events/s; the
 #: floor asserts half of that, machine-scaled.
 DEV_CHURN_EVENTS_PER_SEC = 1.07e6
-
-#: the wheel backend's dev-machine rate on the same churn workload
-#: (~1.09x the heap — the two-queue core wins modestly on charge
-#: ping-pong; its big wins are the landing bursts gated below).
-DEV_CHURN_WHEEL_EVENTS_PER_SEC = 1.15e6
-
-#: minimum wheel:heap rate ratio on the landing-burst workload (dev
-#: machine measured ~3.8x median over interleaved pairs; the gate
-#: keeps margin for noisy hosts).
-LANDING_RATIO_FLOOR = 2.0
 
 #: minimum frame:scalar message-rate ratio on the frame-execution
 #: workload (ISSUE 9 acceptance: >= 3.0x, machine-independent — both
@@ -109,25 +92,6 @@ def _churn(env, chains=64, horizon=20000.0):
     for _ in range(chains):
         env.charge(1.0).callbacks.append(hop)
     env.run(until=horizon)
-    return env.kernel_stats()
-
-
-def _landing_churn(env, horizon=5000.0):
-    """The landing table's target load: 64-push homogeneous bursts on
-    one Channel every microsecond, drained in batches.  On the heap
-    each burst costs 64 pooled defer events; on the wheel it coalesces
-    into one flush entry plus a bulk sink extend."""
-    chan = Channel(env, "bench", latency=1.0)
-
-    def pump(_e, env=env, chan=chan):
-        for _ in range(64):
-            chan.push(0, 64)
-        chan.recv_batch()
-        if env.now < horizon:
-            env.defer(1.0, pump)
-
-    env.defer(1.0, pump)
-    env.run()
     return env.kernel_stats()
 
 
@@ -207,10 +171,9 @@ def _frame_churn(env, frame, messages=FRAME_MESSAGES):
     return env.kernel_stats()
 
 
-def _churn_section(stats, factor, calib, floor, backend):
+def _churn_section(stats, factor, calib, floor):
     rate = stats["events_processed"] / stats["wall_seconds"]
     return rate, {
-        "backend": backend,
         "events_processed": stats["events_processed"],
         "wall_seconds": round(stats["wall_seconds"], 4),
         "events_per_second": round(rate),
@@ -223,61 +186,24 @@ def _churn_section(stats, factor, calib, floor, backend):
 
 
 class TestKernelChurn:
-    @pytest.mark.parametrize("section,make_env,dev_rate", [
-        ("kernel_churn", Environment, DEV_CHURN_EVENTS_PER_SEC),
-        ("kernel_churn_wheel", WheelEnvironment,
-         DEV_CHURN_WHEEL_EVENTS_PER_SEC),
-    ])
-    def test_event_churn_rate(self, benchmark, section, make_env, dev_rate):
-        stats = benchmark.pedantic(lambda: _churn(make_env()),
+    def test_event_churn_rate(self, benchmark):
+        stats = benchmark.pedantic(lambda: _churn(Environment()),
                                    rounds=3, iterations=1)
         factor, calib = _machine_speed_factor()
-        floor = 0.5 * dev_rate / factor
-        rate, payload = _churn_section(stats, factor, calib, floor,
-                                       make_env.backend)
-        _save(section, payload)
+        floor = 0.5 * DEV_CHURN_EVENTS_PER_SEC / factor
+        rate, payload = _churn_section(stats, factor, calib, floor)
+        _save("kernel_churn", payload)
         # The churn path spawns no processes and keeps the heap small:
         # both are the point of the pooled fast path.
         assert stats["processes_spawned"] == 0
         assert rate >= floor, (
-            "%s churn %.0f ev/s below machine-scaled floor %.0f"
-            % (make_env.backend, rate, floor))
-
-    def test_landing_burst_ratio(self):
-        """Interleaved heap/wheel pairs; the gate is the best per-pair
-        rate ratio, which cancels machine-speed drift entirely — both
-        sides of a pair run within the same scheduling minute."""
-        pairs = []
-        for _ in range(5):
-            heap_stats = _landing_churn(Environment())
-            wheel_stats = _landing_churn(WheelEnvironment())
-            assert (heap_stats["events_processed"]
-                    == wheel_stats["events_processed"])
-            heap_rate = (heap_stats["events_processed"]
-                         / heap_stats["wall_seconds"])
-            wheel_rate = (wheel_stats["events_processed"]
-                          / wheel_stats["wall_seconds"])
-            pairs.append((wheel_rate / heap_rate, heap_rate, wheel_rate))
-        pairs.sort()
-        best_ratio, heap_rate, wheel_rate = pairs[-1]
-        _save("kernel_churn_landing", {
-            "events_processed": heap_stats["events_processed"],
-            "heap_events_per_second": round(heap_rate),
-            "wheel_events_per_second": round(wheel_rate),
-            "best_ratio": round(best_ratio, 2),
-            "median_ratio": round(pairs[len(pairs) // 2][0], 2),
-            "rounds": len(pairs),
-            "ratio_floor": LANDING_RATIO_FLOOR,
-        })
-        assert best_ratio >= LANDING_RATIO_FLOOR, (
-            "landing burst churn: wheel only %.2fx the heap (floor %.1fx)"
-            % (best_ratio, LANDING_RATIO_FLOOR))
+            "churn %.0f ev/s below machine-scaled floor %.0f"
+            % (rate, floor))
 
     def test_frame_execution_ratio(self):
-        """Interleaved scalar/frame pairs on the heap backend (so the
-        gain is frame execution alone, not the landing table); the gate
-        is the best per-pair message-rate ratio — machine-independent,
-        like the landing gate above."""
+        """Interleaved scalar/frame pairs; the gate is the best
+        per-pair message-rate ratio, which cancels machine-speed drift
+        — both sides of a pair run within the same scheduling minute."""
         pairs = []
         for _ in range(5):
             scalar = _frame_churn(Environment(), frame=False)

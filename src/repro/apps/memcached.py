@@ -114,12 +114,11 @@ class _WorkerOp:
         server.env._kick(self._arm)
 
     def _arm(self, _event=None):
-        self.server.nic.rx.get().callbacks.append(self._on_msg)
+        self.server.nic.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         server = self.server
         server.nic.rx_rate.count += 1       # inlined nic.recv() rate tick
-        msg = get._value
         stack = server.stack
         if stack.handle_control(msg, server.nic) or msg.dst.port != server.port:
             self._arm()

@@ -612,9 +612,9 @@ def _run_variant(module, exp_id, scenario_kwargs, seed=42):
     # Importance scores diff kernel churn across variants
     # (snapshot_signals' ``kernel_events``): pin the scalar oracle so
     # the signal measures the canonical per-message event chain,
-    # invariant across scheduler backends and their frame-execution
-    # defaults (DESIGN.md §4.14).  Model observables are identical
-    # either way; only the churn diagnostics depend on the mode.
+    # whatever ``$REPRO_FRAME_EXEC`` says (DESIGN.md §4.14).  Model
+    # observables are identical either way; only the churn diagnostics
+    # depend on the mode.
     prior = os.environ.get("REPRO_FRAME_EXEC")
     os.environ["REPRO_FRAME_EXEC"] = "0"
     try:

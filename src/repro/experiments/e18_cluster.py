@@ -35,7 +35,7 @@ The campaign's three knobs ask the three scale-out questions:
 Determinism: arrivals, Zipf draws, and p2c candidate picks all ride
 named RNG streams; the failover window and the timeline sampler ride
 ``env.defer`` — rows are bit-identical across ``--jobs 1/N`` and
-heap/wheel backends at a fixed seed (pinned by
+frame execution at a fixed seed (pinned by
 ``tests/experiments/test_e18_cluster.py``).
 """
 
@@ -94,9 +94,9 @@ class _GoodputTimeline:
     """Deterministic per-bucket goodput sampler (failover timeline).
 
     Rides recursive ``env.defer`` at fixed sim-time boundaries — never
-    wall clock — so the timeline is bit-identical across backends and
-    job counts.  Each sample is the response count landed in one
-    bucket, across every population.
+    wall clock — so the timeline is bit-identical across job counts.
+    Each sample is the response count landed in one bucket, across
+    every population.
     """
 
     __slots__ = ("env", "pops", "bucket_us", "left", "samples", "_last")

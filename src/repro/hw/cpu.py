@@ -226,7 +226,7 @@ class _CalibratedRun:
             self.token = llc.occupy(self.ws)
             if self.mi > 0:
                 duration *= llc.penalty(self.mi)
-        pool.env.charge(duration).callbacks.append(self._charged)
+        pool.env.defer(duration, self._charged)
 
     def _charged(self, event):
         pool = self.pool

@@ -246,9 +246,9 @@ class _PollerOp:
 
     def _arm(self):
         """Sleep until an accelerator rings a TX doorbell."""
-        self.manager._doorbells.get().callbacks.append(self._on_doorbell)
+        self.manager._doorbells.get_then(self._on_doorbell)
 
-    def _on_doorbell(self, _get):
+    def _on_doorbell(self, _doorbell):
         self.manager._drain_doorbells()
         self._sweep()
 
@@ -263,8 +263,7 @@ class _PollerOp:
         workers._res.acquire(self._scan_granted, -1)
 
     def _scan_granted(self, _event):
-        charge = self.manager.env.charge(self.duration)
-        charge.callbacks.append(self._scan_charged)
+        self.manager.env.defer(self.duration, self._scan_charged)
 
     def _scan_charged(self, _event):
         manager = self.manager
@@ -285,8 +284,8 @@ class _PollerOp:
 
     def _read_granted(self, _event):
         manager = self.manager
-        charge = manager.env.charge(manager.channel.occupancy(self.nbytes))
-        charge.callbacks.append(self._read_occupied)
+        manager.env.defer(manager.channel.occupancy(self.nbytes),
+                          self._read_occupied)
 
     def _read_occupied(self, _event):
         manager = self.manager
@@ -299,8 +298,7 @@ class _PollerOp:
         channel.sent += 1
         channel.bytes_moved += self.nbytes
         engine.ops_posted += 1
-        manager.env.charge(engine.op_latency(qp, 2)).callbacks.append(
-            self._read_done)
+        manager.env.defer(engine.op_latency(qp, 2), self._read_done)
 
     def _read_done(self, _event):
         manager = self.manager
@@ -349,8 +347,8 @@ class _PollerOp:
         if collected == 0:
             self._arm()
             return
-        charge = manager.env.charge(manager.profile.sweep_interval)
-        charge.callbacks.append(self._interval_done)
+        manager.env.defer(manager.profile.sweep_interval,
+                          self._interval_done)
 
     def _interval_done(self, _event):
         self._sweep()

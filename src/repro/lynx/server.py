@@ -102,8 +102,7 @@ class _RxOp:
         """
         if self.env.frame_exec and self._try_turbo():
             return
-        get = self.server.nic.rx.get()
-        get.callbacks.append(self._on_msg)
+        self.server.nic.rx.get_then(self._on_msg)
 
     # -- frame execution (DESIGN.md §4.14) ---------------------------------
 
@@ -206,10 +205,9 @@ class _RxOp:
         manager.deliver(mq, msg)
         self._arm()
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         server = self.server
         server.nic.rx_rate.count += 1       # inlined nic.recv() rate tick
-        msg = get._value
         if msg.kind == "tcp-synack":
             waiter = server._synack_waiters.pop(msg.conn.conn_id, None)
             if waiter is not None and not waiter.triggered:
@@ -268,7 +266,7 @@ class _RxOp:
         pool._res.acquire(self._cmp_granted)
 
     def _cmp_granted(self, _event):
-        self.env.charge(self.duration).callbacks.append(self._cmp_charged)
+        self.env.defer(self.duration, self._cmp_charged)
 
     def _cmp_charged(self, _event):
         self.pool._res.free()
@@ -501,7 +499,7 @@ class _TxOp:
         self._finish()
 
     def _fwd_granted(self, _event):
-        self.env.charge(self.duration).callbacks.append(self._fwd_charged)
+        self.env.defer(self.duration, self._fwd_charged)
 
     def _fwd_charged(self, _event):
         self.pool._res.free()
@@ -562,8 +560,8 @@ class _TxOp:
 
     def _wire_granted(self, _event):
         tx = self.server.nic.tx
-        charge = self.env.charge(tx.occupancy(self.response.wire_size))
-        charge.callbacks.append(self._wire_charged)
+        self.env.defer(tx.occupancy(self.response.wire_size),
+                       self._wire_charged)
 
     def _wire_charged(self, _event):
         self.server.nic.tx.issue.free()

@@ -39,8 +39,7 @@ class _SendOp:
 
     def _begin(self, _event):
         client = self.client
-        client.env.charge(client._send_charge(self.msg)).callbacks.append(
-            self._sent)
+        client.env.defer(client._send_charge(self.msg), self._sent)
 
     def _sent(self, _event):
         client = self.client
@@ -70,11 +69,10 @@ class _ClientRxOp:
         self._arm()
 
     def _arm(self):
-        self.client.rx.get().callbacks.append(self._on_msg)
+        self.client.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         client = self.client
-        msg = get._value
         created = msg.meta.get("request_created_at")
         if created is not None and msg.kind == "response":
             client.latency._samples.append(
@@ -232,8 +230,9 @@ class Client:
     def _open_attempt(self, payload, dst, proto, conn):
         """Build one attempt's request and park its response waiter."""
         src = conn.client if conn is not None else self._source_address()
-        msg = Message(src=src, dst=dst, payload=payload, proto=proto,
-                      created_at=self.env.now, conn=conn)
+        # Positional: keyword binding costs on the per-request path.
+        msg = Message(src, dst, payload, proto, self.env.now, None, None,
+                      conn)
         waiter = self.env.event()
         self._waiters[msg.msg_id] = waiter
         return msg, waiter
@@ -322,7 +321,7 @@ class OpenLoopGenerator:
 
     def _begin(self, _event):
         if not self._stopped:
-            self.env.charge(self._interarrival()).callbacks.append(self._fire)
+            self.env.defer(self._interarrival(), self._fire)
 
     def _fire(self, _event):
         if self._stopped:
@@ -331,14 +330,14 @@ class OpenLoopGenerator:
         payload = self.payload_fn(self.offered)
         src = (self.conn.client if self.conn is not None
                else self.client._source_address())
-        msg = Message(src=src, dst=self.dst, payload=payload,
-                      proto=self.proto, created_at=env.now, conn=self.conn)
+        msg = Message(src, self.dst, payload, self.proto, env.now, None,
+                      None, self.conn)
         self.offered += 1
         # Fire and forget: the arrival process must not be throttled
         # by per-message send cost, or high offered rates would be
         # silently capped below the target.
         self.client.send_async(msg)
-        env.charge(self._interarrival()).callbacks.append(self._fire)
+        env.defer(self._interarrival(), self._fire)
 
 
 class _ClosedLoopOp:
@@ -379,8 +378,7 @@ class _ClosedLoopOp:
             self.conn, syn, self.waiter = client._open_connection(
                 self.gen.dst)
             self.msg = syn
-            self.env.charge(client._send_charge(syn)).callbacks.append(
-                self._syn_sent)
+            self.env.defer(client._send_charge(syn), self._syn_sent)
         else:
             self._next()
 
@@ -413,8 +411,7 @@ class _ClosedLoopOp:
         msg, self.waiter = client._open_attempt(self.payload, gen.dst,
                                                 gen.proto, self.conn)
         self.msg = msg
-        self.env.charge(client._send_charge(msg)).callbacks.append(
-            self._sent)
+        self.env.defer(client._send_charge(msg), self._sent)
 
     def _sent(self, _event):
         self.client._put_on_wire(self.msg)

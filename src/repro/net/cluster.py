@@ -29,7 +29,7 @@ a sharded, replicated service tier.  This module is that tier
 Determinism: steering consumes schedule slots only through
 ``env.defer`` and draws only from the named stream
 ``cluster.p2c.<vip>``, so fixed-seed cluster runs are bit-identical
-across ``--jobs 1/N`` and heap/wheel backends.
+across ``--jobs 1/N``.
 """
 
 import hashlib
@@ -191,11 +191,11 @@ class _SteerOp:
         self._arm()
 
     def _arm(self):
-        self.lb.rx.get().callbacks.append(self._on_msg)
+        self.lb.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         lb = self.lb
-        batch = [get._value]
+        batch = [msg]
         if lb.batched:
             batch.extend(lb.rx.recv_batch(lb.max_batch - 1))
         self.batch = batch

@@ -48,6 +48,8 @@ class Address:
 
 def payload_size(payload):
     """Size in bytes of a payload (bytes, numpy array, str or sized)."""
+    if payload.__class__ is bytes:
+        return len(payload)
     if payload is None:
         return 0
     if isinstance(payload, (bytes, bytearray, memoryview)):
@@ -99,12 +101,10 @@ class Message:
 
     def reply(self, payload, created_at, size=None, kind="response"):
         """Build the response message back to this message's source."""
-        msg = Message(src=self.dst, dst=self.src, payload=payload,
-                      proto=self.proto, created_at=created_at, size=size,
-                      conn=self.conn, kind=kind)
-        msg.meta["in_reply_to"] = self.msg_id
-        msg.meta["request_created_at"] = self.created_at
-        return msg
+        return Message(self.dst, self.src, payload, self.proto, created_at,
+                       size, {"in_reply_to": self.msg_id,
+                              "request_created_at": self.created_at},
+                       self.conn, kind)
 
     def __repr__(self):
         return "<Message #%d %s %s->%s %dB %s>" % (

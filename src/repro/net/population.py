@@ -22,10 +22,9 @@ every per-request quantity in struct-of-arrays numpy columns:
   telemetry :class:`~repro.telemetry.instruments.LogHistogram`\\ s via
   ``record_many``;
 * injection is frame-coalesced: arrivals within ``coalesce_us`` of
-  each other wake the population once and are pushed back-to-back onto
-  the destination's wire channel, so on the wheel backend the whole
-  frame collapses into one landing-table batch (O(1) scheduler events
-  per burst, DESIGN.md §4.11).
+  each other wake the population once and ride the destination's wire
+  channel as one ``Channel.push_many`` burst (one scheduler event per
+  frame, DESIGN.md §4.13).
 
 Timing is calibrated to the scalar client path: a request created at
 arrival time ``t`` reaches the wire channel at
@@ -406,8 +405,8 @@ class InFlightTable:
     Columns: request ``msg_id`` (monotonically increasing — the global
     Message counter only moves forward), send time, deadline, flow
     (stream) id, and a done flag.  Appends stage into a python list and
-    bulk-materialize into the columns at resolve/expiry boundaries (the
-    landing-table pattern, DESIGN.md §4.11); responses resolve ids to
+    bulk-materialize into the columns at resolve/expiry boundaries;
+    responses resolve ids to
     rows with one ``searchsorted`` per batch.  No per-request objects,
     no ``_waiters`` dict.
     """
@@ -562,12 +561,12 @@ class _PopulationRxOp:
         self._arm()
 
     def _arm(self):
-        self.pop.rx.get().callbacks.append(self._on_msg)
+        self.pop.rx.get_then(self._on_msg)
 
-    def _on_msg(self, get):
+    def _on_msg(self, msg):
         pop = self.pop
         now = pop.env.now
-        pop._ingest(get._value, now)
+        pop._ingest(msg, now)
         more = pop.rx.recv_batch()
         if more:
             ingest = pop._ingest
@@ -759,8 +758,8 @@ class ClientPopulation:
                 t = times[i]
                 key = keys[i]
                 size = sz[key]
-                msg = Message(src=srcs[src_i], dst=dst, payload=pl[key],
-                              proto=proto, created_at=t, size=size)
+                # Positional: keyword binding costs per arrival.
+                msg = Message(srcs[src_i], dst, pl[key], proto, t, size)
                 src_i = src_i + 1 if src_i + 1 < nsrc else 0
                 frame_append(msg)
                 nbytes += size + UDP_HEADER
@@ -772,10 +771,8 @@ class ClientPopulation:
                 t = times[i]
                 flow = flows[streams[i]]
                 key = keys[i]
-                msg = Message(src=srcs[src_i], dst=dst,
-                              payload=flow.payloads.payloads[key],
-                              proto=flow.proto, created_at=t,
-                              size=flow.payloads.sizes[key])
+                msg = Message(srcs[src_i], dst, flow.payloads.payloads[key],
+                              flow.proto, t, flow.payloads.sizes[key])
                 src_i = src_i + 1 if src_i + 1 < nsrc else 0
                 table_append(msg.msg_id, t,
                              t + deadline_for

@@ -66,8 +66,8 @@ def burn(env, n):
 
     Keeps ``env._eid`` bit-identical to the scalar chain's consumption,
     so every event scheduled after the span carries the same sequence
-    number either way (the LandingTable uses the same trick for bulk
-    credits).
+    number either way (``Store.try_put`` uses the same trick for the
+    dead put event it never builds).
     """
     env._eid += n
 

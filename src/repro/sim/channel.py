@@ -54,7 +54,7 @@ class _TransferOp:
         self.callback = None
 
     def _granted(self, _event):
-        self.channel.env.charge(self.occupancy).callbacks.append(self._moved)
+        self.channel.env.defer(self.occupancy, self._moved)
 
     def _moved(self, event):
         channel = self.channel
@@ -110,22 +110,6 @@ class Channel(Store):
         self.issue = (Resource(env, 1, name="%s-issue" % self.name)
                       if serialized else None)
         self._sink = sink if sink is not None else self
-        #: the environment's landing table (wheel backend; None on the
-        #: heap) — cached here so _push_staged() skips an attribute hop
-        self._landing = env._landing
-        # Adaptive staging (wheel backend): channels whose batches never
-        # coalesce pay the table's bookkeeping for nothing, so after
-        # enough consecutive single-message batches with no burst ever
-        # seen, push falls back to the defer route.  The route choice
-        # is observably identical either way (same sequence numbers,
-        # same delivery order), so the heuristic cannot perturb results.
-        self._stage_off = False
-        self._stage_bursts = False
-        self._solo_batches = 0
-        if self._landing is not None:
-            # Instance-level rebind: heap channels keep the class-level
-            # push() untouched (no wheel bookkeeping on that hot path).
-            self.push = self._push_staged
         #: items pushed but not yet landed; FIFO matches fire order
         #: because every push on one channel defers the same latency
         self._in_flight = deque()
@@ -154,6 +138,7 @@ class Channel(Store):
             self.get = self._traced_get
             self.try_put = self._traced_try_put
             self.try_get = self._traced_try_get
+            self.get_then = self._traced_get_then
         else:
             self._tracer = None
 
@@ -217,41 +202,18 @@ class Channel(Store):
         if self.issue is not None:
             self.issue.acquire(op._granted)
         else:
-            self.env.charge(occupancy).callbacks.append(op._moved)
+            self.env.defer(occupancy, op._moved)
 
     def push(self, item, nbytes=0):
         """Fire-and-forget: land *item* in the sink after the hop latency.
 
         Drop-tail on a full sink (the receiver counts nothing; the
         channel's ``dropped`` statistic does).
-
-        On the wheel backend ``__init__`` rebinds ``push`` to
-        :meth:`_push_staged`, which replaces the per-message ``defer``
-        with a row in the environment's struct-of-arrays landing table
-        (DESIGN.md §4.11).  Keeping the route choice out of this body
-        leaves the heap backend's hot path free of wheel bookkeeping.
         """
         self.sent += 1
         self.bytes_moved += nbytes
         self._in_flight.append(item)
         self.env.defer(self.latency, self._land)
-
-    def _push_staged(self, item, nbytes=0):
-        """Wheel-backend ``push``: stage a landing-table row.
-
-        Coalesces homogeneous bursts into vectorized deliveries with
-        bit-identical observable order.  ``_stage_off`` is the adaptive
-        bypass for channels whose batches never coalesce (set by the
-        landing table itself); the defer route it falls back to is
-        observably identical.
-        """
-        self.sent += 1
-        self.bytes_moved += nbytes
-        self._in_flight.append(item)
-        if self._stage_off:
-            self.env.defer(self.latency, self._land)
-        else:
-            self._landing.stage(self, item, nbytes)
 
     def _land(self, _event):
         item = self._in_flight.popleft()
@@ -473,6 +435,12 @@ class Channel(Store):
         get.callbacks.append(
             lambda evt: self._tracer.emit(self.name, "deq", _msg_id(evt._value)))
         return get
+
+    def _traced_get_then(self, callback):
+        def traced(item):
+            self._tracer.emit(self.name, "deq", _msg_id(item))
+            callback(item)
+        Store.get_then(self, traced)
 
     def _traced_try_put(self, item):
         ok = Store.try_put(self, item)

@@ -9,9 +9,12 @@ The loop is therefore written for CPython throughput:
   ``itertools.count`` — and hot constructors bump it inline;
 * the loop body has no per-event ``try/except``; ``while queue`` replaces
   catching ``IndexError`` per pop;
+* ``defer``/``defer_at``/``_kick`` and ``Store.get_then`` push bare
+  ``(time, priority, eid, None, callback, arg)`` entries that the loop
+  dispatches with one call — no event object, no callback list;
 * pooled events (:class:`~.events.Charge`) are recycled right after
-  their callbacks run, so fixed-latency charges allocate nothing in
-  steady state;
+  their callbacks run, so the charges generators yield allocate
+  nothing in steady state;
 * lightweight kernel counters (events processed, spawns, heap peak,
   wall-clock) are maintained as plain int bumps and surfaced through
   :meth:`kernel_stats` / :func:`kernel_totals`.
@@ -48,79 +51,19 @@ _TOTAL_KEYS = (
 
 _PREFIX = "sim.kernel."
 
-#: Scheduler backends selectable via :func:`make_environment` /
-#: ``--sim-backend`` / ``$REPRO_SIM_BACKEND``.  ``heap`` is the classic
-#: binary-heap schedule; ``wheel`` is the calendar-queue backend
-#: (:class:`~repro.sim.wheel.WheelEnvironment`) with identical event
-#: ordering (see DESIGN.md §4.11).
-BACKENDS = ("heap", "wheel")
+def resolve_frame_exec(backend=None, configured=None):
+    """Effective frame-execution setting.
 
-#: backend installed by :func:`configure_backend` (the CLI hook);
-#: ``None`` defers to ``$REPRO_SIM_BACKEND``, then the heap default.
-_configured_backend = None
-
-
-def configure_backend(backend):
-    """Install the process-wide scheduler backend (``None`` resets)."""
-    global _configured_backend
-    if backend is not None and backend not in BACKENDS:
-        raise SimulationError("unknown sim backend %r (choose from %s)"
-                              % (backend, "/".join(BACKENDS)))
-    _configured_backend = backend
-
-
-def active_backend():
-    """The effective backend for environments built without an explicit
-    choice: :func:`configure_backend`, then ``$REPRO_SIM_BACKEND``, then
-    ``heap``.  An unknown env-var value falls back to ``heap`` rather
-    than crashing every import site."""
-    if _configured_backend is not None:
-        return _configured_backend
-    raw = os.environ.get("REPRO_SIM_BACKEND", "").strip().lower()
-    if raw in BACKENDS:
-        return raw
-    return "heap"
-
-
-def make_environment(initial_time=0.0, backend=None):
-    """Build an :class:`Environment` with the selected scheduler backend.
-
-    *backend* overrides the process-wide selection (see
-    :func:`active_backend`).  Testbeds construct their kernel through
-    this factory, so ``--sim-backend``/``$REPRO_SIM_BACKEND`` reach every
-    experiment; direct ``Environment()`` calls keep the heap.
-    """
-    name = backend if backend is not None else active_backend()
-    if name == "heap":
-        env = Environment(initial_time)
-    elif name == "wheel":
-        from .wheel import WheelEnvironment
-        env = WheelEnvironment(initial_time)
-    else:
-        raise SimulationError("unknown sim backend %r (choose from %s)"
-                              % (name, "/".join(BACKENDS)))
-    env.frame_exec = resolve_frame_exec(name)
-    return env
-
-
-def resolve_frame_exec(backend, configured=None):
-    """Effective frame-execution setting for a *backend* environment.
-
-    Precedence mirrors the backend knob: an explicit *configured*
-    True/False (``SimConfig.frame_exec``) wins, then ``$REPRO_FRAME_EXEC``
-    (``1``/``0``), then the backend default — on for the wheel fast
-    path, off for heap golden runs.  Frame execution only coalesces
-    scheduler events; fixed-seed simulated results are bit-identical
-    either way (DESIGN.md §4.14).
+    An explicit *configured* True/False (``SimConfig.frame_exec``) wins,
+    then ``$REPRO_FRAME_EXEC`` (``1``/``0``); the default is off.  Frame
+    execution only coalesces scheduler events; fixed-seed simulated
+    results are bit-identical either way (DESIGN.md §4.14).  *backend*
+    is accepted for older callers and ignored: there is one scheduler.
     """
     if configured is not None:
         return bool(configured)
     raw = os.environ.get("REPRO_FRAME_EXEC", "").strip()
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    return backend == "wheel"
+    return raw in ("1", "true", "on", "yes")
 
 
 def kernel_totals():
@@ -145,7 +88,6 @@ def kernel_totals():
     reqs = totals["requests_completed"]
     totals["events_per_request"] = (
         totals["events_processed"] / reqs if reqs > 0 else 0.0)
-    totals["backend"] = active_backend()
     return totals
 
 
@@ -173,6 +115,25 @@ class EmptySchedule(Exception):
     """Internal: the event queue ran dry."""
 
 
+class _Tick:
+    """The shared event handed to ``defer``/``defer_at``/``_kick`` callbacks.
+
+    Every such callback either ignores its event argument or reads only
+    ``_ok``/``_value`` (``Process._resume``, ``Task._step``), so one
+    immutable successful, valueless event serves them all.
+    """
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+    _defused = False
+    callbacks = None
+
+
+#: the one tick every bare-callback entry delivers
+TICK = _Tick()
+
+
 class Environment:
     """Execution environment for a single simulation.
 
@@ -183,28 +144,24 @@ class Environment:
 
     POOL_CAP = _POOL_CAP
 
-    #: scheduler backend name (subclasses override; see make_environment)
-    backend = "heap"
-
     #: frame-native execution of the data-plane hot loops (see
     #: repro.sim.batchexec and DESIGN.md §4.14).  Class default keeps
     #: direct ``Environment()`` construction on the scalar oracle;
-    #: :func:`make_environment` and testbeds resolve the effective
-    #: setting via :func:`resolve_frame_exec`.
+    #: testbeds resolve the effective setting via
+    #: :func:`resolve_frame_exec`.
     frame_exec = False
 
     def __init__(self, initial_time=0.0):
         self.now = float(initial_time)
-        # The shared trigger sites (Event.succeed, Store completions,
-        # Resource grants) heappush ``(time, priority, eid, event)``
-        # entries straight onto ``_queue``.  The wheel backend aliases
-        # ``_queue`` to its live heap — trigger sites always push at
-        # ``now``, which is exactly the live heap's domain — so those
-        # hot paths stay byte-identical across backends.
+        # Two entry shapes share the heap, both ordered by ``(time,
+        # priority, eid)``: event entries ``(time, priority, eid,
+        # event)``, pushed by the trigger sites (Event.succeed, Store
+        # completions, Resource grants), and bare-callback entries
+        # ``(time, priority, eid, None, callback, arg)`` from defer,
+        # defer_at, _kick and Store.get_then.  Eids are unique, so a
+        # comparison never reaches element 3 and the mixed lengths
+        # are safe.
         self._queue = []
-        #: vectorized Channel landing table (wheel backend only; see
-        #: repro.sim.landing) — ``None`` keeps Channel.push on defer()
-        self._landing = None
         self._eid = 0
         self._active_process = None
         self._charge_pool = []
@@ -269,27 +226,20 @@ class Environment:
         return event
 
     def defer(self, delay, callback, priority=NORMAL):
-        """Invoke *callback(event)* after *delay*, via a pooled event.
+        """Invoke *callback(event)* after *delay*.
 
         The callback-driven twin of :meth:`charge`, for state machines
         that advance on plain callbacks instead of generator resumption.
+        It pushes a bare entry — no event object, no pool traffic — that
+        takes the same ``(time, priority, eid)`` slot a pooled charge
+        would, and the callback receives the shared :data:`TICK`.
         """
         if delay < 0:
             raise SimulationError("negative defer delay: %r" % delay)
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = delay
-            self.charges_reused += 1
-        else:
-            event = Charge(self, delay, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now + delay, priority, eid, event))
-        return event
+        heappush(self._queue,
+                 (self.now + delay, priority, eid, None, callback, TICK))
 
     def defer_at(self, when, callback, priority=NORMAL):
         """Invoke *callback(event)* at absolute simulated time *when*.
@@ -302,42 +252,20 @@ class Environment:
         """
         if when < self.now:
             raise SimulationError("defer_at into the past: %r" % when)
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = when - self.now
-            self.charges_reused += 1
-        else:
-            event = Charge(self, when - self.now, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (when, priority, eid, event))
-        return event
+        heappush(self._queue, (when, priority, eid, None, callback, TICK))
 
     def _kick(self, callback):
-        """Schedule *callback* URGENTly at the current time (pooled).
+        """Schedule *callback* URGENTly at the current time.
 
         This is the zero-allocation replacement for the ``Initialize``
         event that used to kick off every process: same timestamp, same
         URGENT priority, one sequence number — identical ordering.
         """
-        pool = self._charge_pool
-        if pool:
-            event = pool.pop()
-            event._value = None
-            event.delay = 0.0
-            self.charges_reused += 1
-        else:
-            event = Charge(self, 0.0, None)
-            self.charges_created += 1
-        event.callbacks.append(callback)
         eid = self._eid
         self._eid = eid + 1
-        heappush(self._queue, (self.now, URGENT, eid, event))
-        return event
+        heappush(self._queue, (self.now, URGENT, eid, None, callback, TICK))
 
     def immediate(self, value=None):
         """An already-processed event carrying *value*.
@@ -401,10 +329,15 @@ class Environment:
     def step(self):
         """Process the next scheduled event (slow path; run() inlines this)."""
         try:
-            when, _, _, event = heapq.heappop(self._queue)
+            entry = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule()
-        self.now = when
+        self.now = entry[0]
+        event = entry[3]
+        if event is None:
+            entry[4](entry[5])
+            self.events_processed += 1
+            return
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -464,8 +397,18 @@ class Environment:
         started = perf_counter()
         try:
             while queue:
-                when, _, _, event = pop(queue)
-                self.now = when
+                entry = pop(queue)
+                self.now = entry[0]
+                event = entry[3]
+                if event is None:
+                    # Bare entry: one call, nothing to recycle.
+                    entry[4](entry[5])
+                    nprocessed += 1
+                    if not nprocessed & 255:
+                        qlen = qsize(queue)
+                        if qlen > peak:
+                            peak = qlen
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for callback in callbacks:
@@ -513,7 +456,6 @@ class Environment:
         wall = self.wall_seconds
         reqs = self.requests_completed
         return {
-            "backend": self.backend,
             "frame_exec": self.frame_exec,
             "events_processed": self.events_processed,
             "processes_spawned": self.processes_spawned,

@@ -128,9 +128,9 @@ class Timeout(Event):
 class Charge(Timeout):
     """A pooled :class:`Timeout` recycled by the kernel after it fires.
 
-    Created only via ``Environment.charge()`` / ``Environment.defer()``.
-    Pooling contract: a Charge must be yielded (or given its callbacks)
-    immediately and exactly once, and must never be stored, re-yielded,
+    Created only via ``Environment.charge()``.  Pooling contract: a
+    Charge must be yielded (or given its callbacks) immediately and
+    exactly once, and must never be stored, re-yielded,
     or combined into a condition — after its callbacks run, the kernel
     reuses the object for a future charge.
     """

@@ -1,9 +1,10 @@
 """Producer/consumer channels.
 
 :class:`Store` is an (optionally bounded) FIFO of arbitrary items with
-event-returning ``put``/``get``; :class:`PriorityStore` pops the smallest
-item first.  These are the building blocks for NIC queues, dispatch
-queues and mailbox-style notification between model components.
+event-returning ``put``/``get`` and a callback-driven ``get_then``;
+:class:`PriorityStore` pops the smallest item first.  These are the
+building blocks for NIC queues, dispatch queues and mailbox-style
+notification between model components.
 """
 
 import heapq
@@ -75,6 +76,26 @@ class Store:
         """Dequeue one item; the event fires with the item as value."""
         return StoreGet(self)
 
+    def get_then(self, callback):
+        """Dequeue one item into *callback(item)*, with no event.
+
+        The callback twin of :meth:`get` for state machines: the
+        callback runs at the ``(now, NORMAL, eid)`` slot the
+        ``StoreGet`` would have fired at, from a bare schedule entry
+        that carries the item.  With the store empty the callback
+        parks in the same FIFO as parked ``StoreGet`` events, so gets
+        of either kind are served in arrival order.
+        """
+        if self._items:
+            env = self.env
+            eid = env._eid
+            env._eid = eid + 1
+            heappush(env._queue,
+                     (env.now, NORMAL, eid, None, callback, self._pop_item()))
+            self._wake_putter()
+        else:
+            self._getters.append(callback)
+
     def try_put(self, item):
         """Non-blocking put: True if accepted, False if the store is full.
 
@@ -83,19 +104,23 @@ class Store:
 
         Nobody can wait on the put's completion, so none is built: the
         schedule slot the ``StorePut`` would take is burned and credited
-        to ``events_processed`` as if it had fired — the same rule the
-        wheel's landing table applies to bulk landings.  Ordering and
-        every counter stay those of a ``put()``.
+        to ``events_processed`` as if it had fired.  Ordering and every
+        counter stay those of a ``put()``.
         """
         env = self.env
         if self._getters:
+            # _wake_getter inlined: this is every RX ring's landing path.
             getter = self._getters.popleft()
             self.total_put += 1
-            getter._ok = True
-            getter._value = item
             eid = env._eid
-            heappush(env._queue, (env.now, NORMAL, eid, getter))
             env._eid = eid + 2
+            if getter.__class__ is StoreGet:
+                getter._ok = True
+                getter._value = item
+                heappush(env._queue, (env.now, NORMAL, eid, getter))
+            else:
+                heappush(env._queue,
+                         (env.now, NORMAL, eid, None, getter, item))
         elif len(self._items) < self.capacity:
             self._push_item(item)
             self.total_put += 1
@@ -114,7 +139,8 @@ class Store:
         return None
 
     def purge_waiters(self):
-        """Withdraw every parked get and put (their events never fire).
+        """Withdraw every parked get — ``StoreGet`` or :meth:`get_then`
+        callback — and put (none of them ever fires).
 
         Fault-recovery hook: when a consumer dies mid-wait (accelerator
         crash), its parked ``StoreGet`` would otherwise silently swallow
@@ -129,6 +155,17 @@ class Store:
 
     # -- internals ----------------------------------------------------------
 
+    def _wake_getter(self, eid, item):
+        """Hand *item* to the oldest parked get at schedule slot *eid*."""
+        getter = self._getters.popleft()
+        env = self.env
+        if getter.__class__ is StoreGet:
+            getter._ok = True
+            getter._value = item
+            heappush(env._queue, (env.now, NORMAL, eid, getter))
+        else:
+            heappush(env._queue, (env.now, NORMAL, eid, None, getter, item))
+
     def _push_item(self, item):
         self._items.append(item)
 
@@ -142,12 +179,9 @@ class Store:
     def _do_put(self, event):
         env = self.env
         if self._getters:
-            getter = self._getters.popleft()
             self.total_put += 1
-            getter._ok = True
-            getter._value = event.item
             eid = env._eid
-            heappush(env._queue, (env.now, NORMAL, eid, getter))
+            self._wake_getter(eid, event.item)
             event._ok = True
             event._value = None
             env._eid = eid + 2

@@ -91,11 +91,7 @@ def format_snapshot(snapshot, prefix="", title="telemetry"):
 def format_kernel_stats(stats):
     """Render a kernel counter block (see ``Environment.kernel_stats`` /
     ``sim.kernel_totals``) as an aligned, human-readable table."""
-    backend = stats.get("backend")
-    # Tag the header only for non-default backends so existing heap
-    # output (and anything parsing it) stays byte-identical.
-    lines = ["simulator kernel%s:"
-             % ("" if backend in (None, "heap") else " [%s backend]" % backend)]
+    lines = ["simulator kernel:"]
     total_charges = stats.get("charges_created", 0) + stats.get("charges_reused", 0)
     reuse = (100.0 * stats.get("charges_reused", 0) / total_charges
              if total_charges else 0.0)
@@ -103,6 +99,8 @@ def format_kernel_stats(stats):
         ("events processed", "{:,}".format(stats.get("events_processed", 0))),
         ("processes spawned", "{:,}".format(stats.get("processes_spawned", 0))),
         ("detached tasks", "{:,}".format(stats.get("tasks_spawned", 0))),
+        # Only the Charge events generators yield are pooled; defer and
+        # kick callbacks ride bare schedule entries and are not counted.
         ("pooled charges", "{:,} ({:.1f}% reused)".format(total_charges, reuse)),
         ("heap peak", "{:,}".format(stats.get("heap_peak", 0))),
         ("wall-clock in run()", "%.2f s" % stats.get("wall_seconds", 0.0)),
@@ -119,7 +117,7 @@ def format_kernel_stats(stats):
 def dumps_metrics(snapshot, meta=None):
     """Serialize a registry snapshot to the ``repro.telemetry/1`` JSON.
 
-    *meta* (optional dict, e.g. ``{"sim_backend": "wheel"}``) rides in a
+    *meta* (optional dict, e.g. ``{"seed": 42}``) rides in a
     top-level ``meta`` block; readers of ``doc["metrics"]`` are
     unaffected and :func:`load_metrics` ignores it.
     """

@@ -1,15 +1,14 @@
-"""Cross-backend golden identity: heap vs wheel (DESIGN.md §4.11).
+"""Execution-backend golden identity (DESIGN.md §4.14).
 
-The calendar-queue backend is only allowed to exist because it is
-observably identical to the heap: same result rows, same merged
-telemetry, same CLI output — at any worker count.  These tests pin that
-contract on real experiment workloads (E09 end-to-end; a reduced E04
-grid through the sweep executor).  Frame execution (DESIGN.md §4.14)
-rides the same contract on a second axis: scalar chains and coalesced
-frames must produce identical rows on either backend.
+The simulator has one scheduler, but two ways to execute a chain of
+model steps — the scalar event chain and coalesced frame execution —
+and two ways to run a sweep — serially in-process and across a worker
+pool.  Either choice is only allowed because it is observably
+identical: same result rows, same merged model telemetry, same CLI
+output.  These tests pin that contract on real experiment workloads
+(E09 end-to-end; a reduced E04 grid through the sweep executor; E01
+through the CLI).
 """
-
-import contextlib
 
 import pytest
 
@@ -18,24 +17,14 @@ from repro.experiments import e04_fig6_throughput_grid as e04
 from repro.experiments import e09_fig8a_lenet as e09
 from repro.experiments.__main__ import main
 from repro.experiments.sweep import Point, run_points
-from repro.sim import configure_backend
-
-
-@contextlib.contextmanager
-def _backend(name):
-    configure_backend(name)
-    try:
-        yield
-    finally:
-        configure_backend(None)
 
 
 #: merged-metrics keys that measure the host or the scheduler's own
 #: internals rather than the model; everything else must match exactly.
 #: ``events_processed``/``events_per_request`` are kernel internals too:
-#: frame execution (on by default for wheel, off for heap) coalesces
-#: scheduler events by design while leaving every model observable —
-#: including ``requests_completed`` — bit-identical (DESIGN.md §4.14).
+#: frame execution coalesces scheduler events by design while leaving
+#: every model observable — including ``requests_completed`` —
+#: bit-identical.
 _HOST_KEYS = frozenset((
     "sim.kernel.wall_seconds",
     "sim.kernel.heap_peak",
@@ -52,8 +41,8 @@ def _model_metrics(snapshot):
 
 
 def _mini_grid():
-    """Four cheap E04 points spanning three designs and both backends'
-    interesting paths (doorbells, RMQ rings, RDMA, PCIe)."""
+    """Four cheap E04 points spanning three designs and the interesting
+    paths (doorbells, RMQ rings, RDMA, PCIe)."""
     spec = [("host-centric", 20.0, 1), ("lynx-bluefield", 20.0, 1),
             ("lynx-bluefield", 20.0, 8), ("lynx-xeon-6core", 200.0, 4)]
     return [Point(("E04-mini", design, exec_us, n_mq), e04.measure_design,
@@ -64,74 +53,58 @@ def _mini_grid():
 
 
 @pytest.fixture(scope="module")
-def heap_grid():
-    """Reference rates + merged model metrics for the mini grid."""
-    with _backend("heap"), telemetry.scope() as reg:
-        rates = run_points(_mini_grid(), jobs=1)
-        snap = reg.snapshot()
+def scalar_grid():
+    """Reference rates + merged model metrics for the mini grid, run
+    serially on the scalar chain."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_FRAME_EXEC", "0")
+        with telemetry.scope() as reg:
+            rates = run_points(_mini_grid(), jobs=1)
+            snap = reg.snapshot()
     return rates, _model_metrics(snap)
 
 
 class TestExperimentRows:
     def test_e09_rows_identical(self):
-        with _backend("heap"):
-            heap_rows = e09.run(fast=True, seed=42).rows
-        with _backend("wheel"):
-            wheel_rows = e09.run(fast=True, seed=42).rows
-        assert heap_rows == wheel_rows
+        """Serial in-process and worker-pool sweeps give E09's rows."""
+        serial = e09.run(fast=True, seed=42, jobs=1).rows
+        pooled = e09.run(fast=True, seed=42, jobs=2).rows
+        assert serial == pooled
 
     def test_e09_rows_identical_scalar_vs_frame_both_backends(
             self, monkeypatch):
-        """The frame axis, explicitly: backend defaults already cross
-        scalar (heap) with frame (wheel), but each backend must also
-        match *itself* with frame execution flipped."""
+        """Frame execution coalesces scheduler events only: E09's rows
+        are the scalar chain's with it on, serially and pooled."""
         rows = {}
-        for backend in ("heap", "wheel"):
+        for jobs in (1, 2):
             for frame in ("0", "1"):
                 monkeypatch.setenv("REPRO_FRAME_EXEC", frame)
-                with _backend(backend):
-                    rows[(backend, frame)] = e09.run(fast=True, seed=42).rows
-        reference = rows[("heap", "0")]
+                rows[(jobs, frame)] = e09.run(fast=True, seed=42,
+                                              jobs=jobs).rows
+        reference = rows[(1, "0")]
         for key, got in rows.items():
             assert got == reference, key
 
 
 class TestSweepGrid:
-    def test_serial_rates_and_metrics_identical(self, heap_grid):
-        heap_rates, heap_metrics = heap_grid
-        with _backend("wheel"), telemetry.scope() as reg:
-            wheel_rates = run_points(_mini_grid(), jobs=1)
-            wheel_metrics = _model_metrics(reg.snapshot())
-        assert wheel_rates == heap_rates
-        assert wheel_metrics == heap_metrics
-
-    def test_parallel_wheel_matches_serial_heap(self, heap_grid):
-        """Fan the wheel-backend grid across workers: values must equal
-        the serial heap reference bit-for-bit (workers inherit the
-        backend through the pool initializer)."""
-        heap_rates, heap_metrics = heap_grid
-        with _backend("wheel"), telemetry.scope() as reg:
-            wheel_rates = run_points(_mini_grid(), jobs=4)
-            wheel_metrics = _model_metrics(reg.snapshot())
-        assert wheel_rates == heap_rates
-        assert wheel_metrics == heap_metrics
+    def test_serial_rates_and_metrics_identical(self, scalar_grid,
+                                                monkeypatch):
+        scalar_rates, scalar_metrics = scalar_grid
+        monkeypatch.setenv("REPRO_FRAME_EXEC", "1")
+        with telemetry.scope() as reg:
+            frame_rates = run_points(_mini_grid(), jobs=1)
+            frame_metrics = _model_metrics(reg.snapshot())
+        assert frame_rates == scalar_rates
+        assert frame_metrics == scalar_metrics
 
 
 class TestCliBackendFlag:
-    def test_sim_backend_wheel_runs_and_resets(self, capsys):
-        from repro.sim import environment as env_mod
-
-        assert main(["E01", "--sim-backend", "wheel",
-                     "--kernel-stats"]) == 0
-        out = capsys.readouterr().out
-        assert "[E01]" in out
-        assert "simulator kernel [wheel backend]:" in out
-        # the flag must not leak into later runs
-        assert env_mod._configured_backend is None
-
-    def test_same_rows_printed_either_backend(self, capsys):
+    def test_same_rows_printed_either_backend(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FRAME_EXEC", "0")
         assert main(["E01"]) == 0
-        heap_out = capsys.readouterr().out
-        assert main(["E01", "--sim-backend", "wheel"]) == 0
-        wheel_out = capsys.readouterr().out
-        assert heap_out == wheel_out
+        scalar_out = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_FRAME_EXEC", "1")
+        assert main(["E01"]) == 0
+        frame_out = capsys.readouterr().out
+        assert "[E01]" in scalar_out
+        assert scalar_out == frame_out

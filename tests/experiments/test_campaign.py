@@ -58,7 +58,7 @@ class TestKnob:
 
     def test_config_path_validated_at_declaration(self):
         Knob("ok", values=(1, 2), config="lynx.ring_entries")
-        Knob("ok2", values=("heap", "wheel"), config="sim_backend")
+        Knob("ok2", values=(False, True), config="frame_exec")
         with pytest.raises(ConfigError):
             Knob("bad", values=(1, 2), config="lynx.no_such_field")
         with pytest.raises(ConfigError):
@@ -175,16 +175,16 @@ class TestConfigKnobs:
         assert kwargs["config"] == DEFAULT_CONFIG.with_(
             lynx=DEFAULT_CONFIG.lynx)
 
-    def test_sim_backend_knob(self):
+    def test_frame_exec_knob(self):
         camp = Campaign(
-            "TOY-BACKEND", "toy", "test", scenario=_toy_scenario,
+            "TOY-FRAME", "toy", "test", scenario=_toy_scenario,
             components=[Component(
                 "scheduler",
-                [Knob("sim.backend", values=("heap", "wheel"),
-                      baseline="heap", config="sim_backend")])])
+                [Knob("sim.frame_exec", values=(False, True),
+                      baseline=False, config="frame_exec")])])
         variants = camp.variants(fast=True)
         configs = [camp.scenario_kwargs(True, v)["config"] for v in variants]
-        assert [c.sim_backend for c in configs] == ["heap", "wheel"]
+        assert [c.frame_exec for c in configs] == [False, True]
 
 
 class TestImportance:

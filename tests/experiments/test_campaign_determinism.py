@@ -7,26 +7,26 @@ produce bit-identical rows, run ids, and importance scores:
   machine's usable cores, so on a small runner both may run inline —
   the contract under test is that the jobs knob can never change
   values, clamped or not);
-* across the ``heap`` and ``wheel`` scheduler backends (§4.11's
-  bit-identity contract extends through snapshot-derived importance).
+* with frame execution on or off (§4.14's bit-identity contract
+  extends through snapshot-derived importance).
 """
 
 import json
+import os
 
 import pytest
 
 from repro import telemetry
 from repro.experiments.ablations import coalescing_study
-from repro.sim import configure_backend
 
 
-def _doc(jobs, backend):
-    configure_backend(backend)
+def _doc(jobs, frame):
+    os.environ["REPRO_FRAME_EXEC"] = "1" if frame else "0"
     try:
         with telemetry.scope():
             outcome = coalescing_study.run(fast=True, seed=42, jobs=jobs)
     finally:
-        configure_backend(None)
+        os.environ.pop("REPRO_FRAME_EXEC", None)
     # wall-clock-free by construction: to_doc carries rows, run ids,
     # scores, and snapshot-derived importance, never raw wall seconds
     return json.loads(json.dumps(outcome.to_doc()))
@@ -34,18 +34,18 @@ def _doc(jobs, backend):
 
 @pytest.fixture(scope="module")
 def reference():
-    return _doc(jobs=1, backend="heap")
+    return _doc(jobs=1, frame=False)
 
 
 class TestCampaignDeterminism:
     def test_parallel_matches_serial(self, reference):
-        assert _doc(jobs=4, backend="heap") == reference
+        assert _doc(jobs=4, frame=False) == reference
 
-    def test_wheel_backend_matches_heap(self, reference):
-        assert _doc(jobs=1, backend="wheel") == reference
+    def test_frame_exec_matches_scalar(self, reference):
+        assert _doc(jobs=1, frame=True) == reference
 
-    def test_parallel_wheel_matches_serial_heap(self, reference):
-        assert _doc(jobs=4, backend="wheel") == reference
+    def test_parallel_frame_exec_matches_serial_scalar(self, reference):
+        assert _doc(jobs=4, frame=True) == reference
 
     def test_reference_shape(self, reference):
         assert reference["exp_id"] == "ABL-CO"

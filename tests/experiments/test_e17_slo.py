@@ -1,6 +1,7 @@
 """E17: sustainable-load bisection, frontier shape, and determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.experiments import e17_slo_frontier as e17
 from repro.experiments.common import HOST_CENTRIC, LYNX_BLUEFIELD
 from repro.experiments.slo import find_sustainable_load
 from repro.experiments.sweep import derive_seed
-from repro.sim import configure_backend
 
 
 def _step_trial(knee):
@@ -174,17 +174,18 @@ class TestShape:
 
 class TestDeterminism:
     def test_rows_bit_identical_across_jobs_and_backends(self, result):
-        # The E17 acceptance bar: --jobs 1/4 x heap/wheel all agree.
+        # The E17 acceptance bar: --jobs 1/4 x execution backend (frame
+        # execution off/on) all agree.
         baseline = json.dumps(result.rows)
-        for jobs, backend in ((4, None), (1, "wheel"), (4, "wheel")):
-            configure_backend(backend)
+        for jobs, frame in ((4, "0"), (1, "1"), (4, "1")):
+            os.environ["REPRO_FRAME_EXEC"] = frame
             try:
                 again = e17.run(fast=True, seed=42, measure=8000.0,
                                 iters=3, jobs=jobs)
             finally:
-                configure_backend(None)
+                os.environ.pop("REPRO_FRAME_EXEC", None)
             assert json.dumps(again.rows) == baseline, \
-                "E17 rows diverged at jobs=%s backend=%s" % (jobs, backend)
+                "E17 rows diverged at jobs=%s frame_exec=%s" % (jobs, frame)
 
     def test_different_seed_different_rows(self, result):
         other = e17.run(fast=True, seed=43, measure=8000.0, iters=3,

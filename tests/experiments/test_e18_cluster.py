@@ -1,7 +1,8 @@
 """E18: cluster scale-out shape, steering acceptance, failover
-determinism across --jobs 1/4 x heap/wheel (DESIGN.md §4.15)."""
+determinism across --jobs 1/4 x frame execution (DESIGN.md §4.15)."""
 
 import json
+import os
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro import telemetry
 from repro.errors import FaultError
 from repro.experiments import e18_cluster as e18
 from repro.faults import FaultSchedule, RackFailure
-from repro.sim import configure_backend
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +93,17 @@ class TestFailover:
 class TestDeterminism:
     def test_rows_bit_identical_across_jobs_and_backends(self, result):
         # The E18 acceptance bar: the rack-kill schedule, the ring, and
-        # the steering draws land identically at --jobs 1/4 x heap/wheel.
+        # the steering draws land identically at --jobs 1/4 x execution
+        # backend (frame execution off/on).
         baseline = json.dumps(result.rows)
-        for jobs, backend in ((4, None), (1, "wheel"), (4, "wheel")):
-            configure_backend(backend)
+        for jobs, frame in ((4, "0"), (1, "1"), (4, "1")):
+            os.environ["REPRO_FRAME_EXEC"] = frame
             try:
                 again = e18.run(fast=True, seed=42, jobs=jobs)
             finally:
-                configure_backend(None)
+                os.environ.pop("REPRO_FRAME_EXEC", None)
             assert json.dumps(again.rows) == baseline, \
-                "E18 rows diverged at jobs=%s backend=%s" % (jobs, backend)
+                "E18 rows diverged at jobs=%s frame_exec=%s" % (jobs, frame)
 
     def test_different_seed_different_rows(self, result):
         other = e18.run(fast=True, seed=43, jobs=1)

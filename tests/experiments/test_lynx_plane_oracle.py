@@ -32,8 +32,7 @@ from repro.sim import resources
 
 
 @pytest.fixture(autouse=True)
-def _scalar_heap(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "heap")
+def _scalar(monkeypatch):
     monkeypatch.setenv("REPRO_FRAME_EXEC", "0")
 
 

@@ -32,8 +32,7 @@ EVENTS_TCP_CLOSED_LOOP = 29973
 
 
 @pytest.fixture(autouse=True)
-def _scalar_heap(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "heap")
+def _scalar(monkeypatch):
     monkeypatch.setenv("REPRO_FRAME_EXEC", "0")
 
 

@@ -6,9 +6,9 @@ reorder it: an RX-ring stall installs a ``_land`` instance shadow (so
 SmartNIC pause seizes the worker cores (its seizure parks behind any
 turbo-held slot and is granted by the coalesced step's ``unseize``
 waiter loop).  Either way every simulated observable must be
-bit-identical to the scalar oracle — at both scheduler backends — with
-only the kernel's event counters allowed to differ (fewer events is
-the point of frame execution).
+bit-identical to the scalar oracle, with only the kernel's event
+counters allowed to differ (fewer events is the point of frame
+execution).
 """
 
 import os
@@ -21,15 +21,13 @@ from repro.experiments.common import LYNX_BLUEFIELD, deploy
 from repro.faults import FaultInjector, FaultSchedule, RxRingStall, SnicPause
 from repro.net import ClosedLoopGenerator
 from repro.net.packet import UDP
-from repro.sim import configure_backend
 
 SERVER_IP = "10.0.0.100"
 
 
-def _run(backend, frame, specs):
+def _run(frame, specs):
     """One faulted deployment at a fixed seed; returns (row, events)."""
     os.environ["REPRO_FRAME_EXEC"] = "1" if frame else "0"
-    configure_backend(backend)
     try:
         with telemetry.scope():
             dep = deploy(LYNX_BLUEFIELD, app=SpinApp(20.0), n_mqueues=2,
@@ -55,27 +53,23 @@ def _run(backend, frame, specs):
             }
             return row, dep.env.events_processed
     finally:
-        configure_backend(None)
         os.environ.pop("REPRO_FRAME_EXEC", None)
 
 
-def _four_way(specs):
-    """Scalar-heap oracle vs frame/wheel variants; rows must agree."""
-    ref, ref_events = _run("heap", False, specs)
-    for backend, frame in (("heap", True), ("wheel", False),
-                           ("wheel", True)):
-        row, events = _run(backend, frame, specs)
-        assert row == ref, (backend, frame)
-        if frame:
-            # The frames actually engaged: fewer scheduler events for
-            # the same simulated history.
-            assert events < ref_events, (backend, frame)
+def _scalar_vs_frame(specs):
+    """Scalar oracle vs frame execution; rows must agree."""
+    ref, ref_events = _run(False, specs)
+    row, events = _run(True, specs)
+    assert row == ref
+    # The frames actually engaged: fewer scheduler events for the same
+    # simulated history.
+    assert events < ref_events
     return ref
 
 
 class TestRxRingStallMidFrame:
     def test_rows_identical_and_frames_held(self):
-        row = _four_way(lambda: [
+        row = _scalar_vs_frame(lambda: [
             RxRingStall(SERVER_IP, start=3000, duration=1500,
                         buffer_limit=64),
             RxRingStall(SERVER_IP, start=7000, duration=800,
@@ -87,7 +81,7 @@ class TestRxRingStallMidFrame:
         assert row["completed"] > 0
 
     def test_overflowing_stall_drops_like_scalar(self):
-        row = _four_way(lambda: [
+        row = _scalar_vs_frame(lambda: [
             RxRingStall(SERVER_IP, start=3000, duration=2000,
                         buffer_limit=2),
         ])
@@ -96,7 +90,7 @@ class TestRxRingStallMidFrame:
 
 class TestSnicPauseMidFrame:
     def test_rows_identical_across_pause(self):
-        row = _four_way(lambda: [
+        row = _scalar_vs_frame(lambda: [
             SnicPause(start=3000, duration=1200),
             SnicPause(start=8000, duration=600),
         ])
@@ -108,7 +102,7 @@ class TestSnicPauseMidFrame:
         # Both fault families active at once: the pool seizure and the
         # _land shadow each force their own frame fallbacks without
         # perturbing the other's bit-identity.
-        row = _four_way(lambda: [
+        row = _scalar_vs_frame(lambda: [
             SnicPause(start=2500, duration=1000),
             RxRingStall(SERVER_IP, start=3000, duration=1500,
                         buffer_limit=64),

@@ -20,7 +20,7 @@ from repro.net import (
     TraceReplay,
     arrival_factory,
 )
-from repro.sim import RngRegistry, configure_backend
+from repro.sim import RngRegistry
 
 
 def _take_all(source, until, step=1000.0):
@@ -423,38 +423,11 @@ class TestGoldenParity:
 
 
 class TestBackendParity:
-    def test_heap_and_wheel_bit_identical(self):
-        def run(backend):
-            configure_backend(backend)
-            try:
-                dep = _spin_deployment()
-                tb = dep.tb
-                flows = [
-                    Flow("p", PoissonPopulation(0.03, tb.rng.stream("a")),
-                         PayloadPool.single(b"x" * 64)),
-                    Flow("b", OnOffPopulation(0.08, 300.0, 500.0,
-                                              tb.rng.stream("b")),
-                         PayloadPool.zipf([b"k%d" % i for i in range(8)],
-                                          tb.rng.stream("z"))),
-                ]
-                pop = ClientPopulation(dep.env, tb.network, "10.0.9.1",
-                                       dep.address, flows, timeout=4000.0)
-                tb.warmup_then_measure([pop], 10000.0, 25000.0)
-                pop.flush()
-                return json.dumps(
-                    {"offered": pop.offered,
-                     "responses": pop.responses.count,
-                     "timeouts": pop.timeouts, "late": pop.late,
-                     "hist": pop.latency.snapshot(),
-                     "flows": [f.hist.snapshot() for f in pop.flows]},
-                    sort_keys=True)
-            finally:
-                configure_backend(None)
-
-        assert run("heap") == run("wheel")
-
-    def test_same_seed_reproduces(self):
-        def run():
+    def test_same_seed_reproduces(self, monkeypatch):
+        """Same seed, same population — run again, and with frame
+        execution on as the other execution backend."""
+        def run(frame):
+            monkeypatch.setenv("REPRO_FRAME_EXEC", frame)
             dep = _spin_deployment(seed=7)
             pop = _population_for(dep, 0.05, seed_tag="pop7")
             dep.tb.run(until=dep.env.now + 20000.0)
@@ -462,4 +435,6 @@ class TestBackendParity:
             return (pop.offered, pop.responses.count,
                     json.dumps(pop.latency.snapshot(), sort_keys=True))
 
-        assert run() == run()
+        first = run("0")
+        assert run("0") == first
+        assert run("1") == first

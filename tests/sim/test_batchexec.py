@@ -301,22 +301,23 @@ class TestResolveFrameExec:
         monkeypatch.delenv("REPRO_FRAME_EXEC", raising=False)
 
     def test_backend_defaults(self):
-        assert resolve_frame_exec("wheel") is True
+        # One scheduler: the backend argument (still passed by older
+        # callers) no longer turns frame execution on.
+        assert resolve_frame_exec() is False
         assert resolve_frame_exec("heap") is False
 
     def test_environment_overrides_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_FRAME_EXEC", "1")
         assert resolve_frame_exec("heap") is True
         monkeypatch.setenv("REPRO_FRAME_EXEC", "0")
-        assert resolve_frame_exec("wheel") is False
+        assert resolve_frame_exec("heap") is False
 
     def test_configured_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FRAME_EXEC", "0")
         assert resolve_frame_exec("heap", configured=True) is True
         monkeypatch.setenv("REPRO_FRAME_EXEC", "1")
-        assert resolve_frame_exec("wheel", configured=False) is False
+        assert resolve_frame_exec("heap", configured=False) is False
 
     def test_blank_environment_falls_through(self, monkeypatch):
         monkeypatch.setenv("REPRO_FRAME_EXEC", "  ")
-        assert resolve_frame_exec("wheel") is True
         assert resolve_frame_exec("heap") is False

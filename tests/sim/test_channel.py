@@ -111,6 +111,16 @@ class TestPush:
         assert wire.delivered == 1
         assert wire.dropped == 1
 
+    def test_land_feeds_a_parked_get_then_callback(self, env):
+        sink = Channel(env, name="rx")
+        wire = Channel(env, name="wire", latency=2.0, sink=sink)
+        seen = []
+        sink.get_then(lambda item: seen.append((env.now, item)))
+        wire.push("pkt")
+        env.run()
+        assert seen == [(2.0, "pkt")]
+        assert wire.delivered == 1 and sink.depth == 0
+
 
 class TestPushMany:
     def test_burst_lands_in_order_after_latency(self, env):
@@ -249,6 +259,21 @@ class TestTracing:
             assert "deq" in events
             for rec in env.tracer.records:
                 assert len(rec) == 5
+        finally:
+            clear_enabled_tracers()
+
+    def test_traced_get_then_emits_deq(self, env):
+        env.tracer = Tracer(env, enabled=True)
+        try:
+            ch = Channel(env, name="traced-cb")
+            seen = []
+            ch.get_then(seen.append)
+            ch.try_put("x")
+            env.run()
+            assert seen == ["x"]
+            events = [rec[2]
+                      for rec in env.tracer.filter(channel="traced-cb")]
+            assert events == ["enq", "deq"]
         finally:
             clear_enabled_tracers()
 

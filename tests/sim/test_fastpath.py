@@ -32,8 +32,9 @@ class TestChargePool:
 
         env.process(proc(env))
         env.run()
-        # Two pooled events came back: the spawn kick and the charge.
-        assert len(env._charge_pool) == 2
+        # One pooled event came back: the charge.  The spawn kick is a
+        # bare schedule entry and never touches the pool.
+        assert len(env._charge_pool) == 1
         recycled = env._charge_pool[-1]
         assert isinstance(recycled, Charge)
         assert recycled.callbacks == []  # cleared, ready for reuse
@@ -104,6 +105,50 @@ class TestChargePool:
         env.defer(2.0, lambda evt: fired.append(env.now))
         env.run()
         assert fired == [2.0]
+
+    def test_defer_and_kick_callbacks_get_the_shared_tick(self, env):
+        from repro.sim.environment import TICK
+
+        seen = []
+        env.defer(1.0, seen.append)
+        env.defer_at(2.0, seen.append)
+        env._kick(seen.append)
+        env.run()
+        assert seen == [TICK, TICK, TICK]
+        assert TICK._ok is True and TICK._value is None
+        # No event object was built or pooled for any of them.
+        assert env.charges_created == env.charges_reused == 0
+        assert env._charge_pool == []
+        assert env.events_processed == 3
+
+    def test_step_dispatches_bare_entries(self, env):
+        fired = []
+        env.defer(1.5, lambda tick: fired.append((env.now, tick._ok)))
+        env.step()
+        assert fired == [(1.5, True)]
+        assert env.events_processed == 1
+
+    def test_generator_started_by_kick_still_runs(self, env):
+        log = []
+
+        def proc(env):
+            value = yield env.charge(1.0, value="v")
+            log.append((env.now, value))
+            return "done"
+
+        p = env.process(proc(env))
+        env.run()
+        assert log == [(1.0, "v")]
+        assert p.value == "done"
+        task_log = []
+
+        def task(env):
+            yield env.timeout(2.0)
+            task_log.append(env.now)
+
+        env.detached(task(env))
+        env.run()
+        assert task_log == [3.0]
 
     def test_charge_orders_like_timeout_at_equal_time(self, env):
         """Creation order breaks timestamp ties, mixing both kinds."""

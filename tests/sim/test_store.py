@@ -109,6 +109,117 @@ class TestStore:
         assert store.items == ("a", "b")
 
 
+class TestGetThen:
+    def test_receives_a_buffered_item_at_the_get_slot(self, env):
+        store = Store(env)
+        store.put("a")
+        seen = []
+        eid = env._eid
+        store.get_then(lambda item: seen.append((env.now, item)))
+        # Same eid consumption as get(): one slot for the delivery.
+        assert env._eid == eid + 1
+        env.run()
+        assert seen == [(0.0, "a")]
+
+    def test_orders_like_a_store_get_event(self):
+        """get_then fires at exactly the (time, priority, eid) slot the
+        StoreGet would: a twin run with get() pops the same sequence."""
+        def drive(use_callback):
+            env = Environment()
+            store = Store(env)
+            order = []
+
+            def consume(item):
+                order.append(("got", item, env.now))
+
+            def other(env):
+                yield env.timeout(1.0)
+                order.append(("other", env.now))
+
+            env.process(other(env))
+            if use_callback:
+                store.get_then(consume)
+            else:
+                store.get().callbacks.append(
+                    lambda evt: consume(evt.value))
+            env.defer(1.0, lambda _e: store.try_put("x"))
+            env.run()
+            return order, env._eid, env.events_processed
+
+        assert drive(True) == drive(False)
+
+    def test_parked_callbacks_and_get_events_wake_fifo(self, env):
+        store = Store(env)
+        order = []
+
+        def getter(env, tag):
+            item = yield store.get()
+            order.append((tag, item))
+
+        env.process(getter(env, "g1"))
+        env.run()
+        store.get_then(lambda item: order.append(("c1", item)))
+        env.process(getter(env, "g2"))
+        env.run()
+        store.get_then(lambda item: order.append(("c2", item)))
+        for item in range(4):
+            store.try_put(item)
+        env.run()
+        assert order == [("g1", 0), ("c1", 1), ("g2", 2), ("c2", 3)]
+
+    def test_put_event_wakes_a_parked_callback(self, env):
+        store = Store(env)
+        seen = []
+        store.get_then(seen.append)
+
+        def producer(env):
+            yield store.put("p")
+            seen.append("put-done")
+
+        env.process(producer(env))
+        env.run()
+        assert seen == ["p", "put-done"]
+
+    def test_purge_waiters_drops_parked_callbacks(self, env):
+        store = Store(env)
+        seen = []
+        store.get_then(seen.append)
+        store.get()
+        assert store.purge_waiters() == (2, 0)
+        assert store.try_put("late")
+        env.run()
+        assert seen == []
+        assert store.items == ("late",)
+
+    def test_bounded_store_wakes_a_putter(self, env):
+        store = Store(env, capacity=1)
+        done = []
+
+        def producer(env):
+            for item in ("a", "b"):
+                yield store.put(item)
+            done.append(env.now)
+
+        env.process(producer(env))
+        env.run()
+        assert store.items == ("a",) and not done
+        seen = []
+        store.get_then(seen.append)
+        env.run()
+        assert seen == ["a"]
+        assert store.items == ("b",)
+        assert done == [0.0]
+
+    def test_priority_store_hands_the_smallest(self, env):
+        store = PriorityStore(env)
+        for item in (3, 1, 2):
+            store.put(item)
+        seen = []
+        store.get_then(seen.append)
+        env.run()
+        assert seen == [1]
+
+
 class TestPriorityStore:
     def test_pops_smallest_first(self, env):
         store = PriorityStore(env)
