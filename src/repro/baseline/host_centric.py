@@ -15,7 +15,7 @@ from ..config import XEON_VMA
 from ..errors import ConfigError, NetworkError
 from ..net.packet import Address, Message, TCP, UDP, payload_size
 from ..net.stack import NetworkStack, TcpConnection
-from ..sim import RateMeter, Resource, batchexec
+from ..sim import RateMeter, Resource
 
 
 class HostContext:
@@ -128,20 +128,9 @@ class _HostRxOp:
             self._arm()
             return
         # stack.process_rx: run_calibrated(rx_cost) on the serving pool.
-        pool = self.pool
         self.msg = msg
-        duration = server.stack.rx_cost(msg)
-        # Frame execution (DESIGN.md §4.14): grant + charge collapse to
-        # one event when the slot is free and the window is clear.
-        if self.env.frame_exec and batchexec.try_stage(
-                self.env, pool._res, duration, self._rx_stage_done,
-                pool=pool):
-            return
-        pool.run_calibrated_then(duration, self._after_rx)
-
-    def _rx_stage_done(self, event):
-        batchexec.unseize(self.pool._res)
-        self._after_rx(event)
+        self.pool.run_calibrated_then(server.stack.rx_cost(msg),
+                                      self._after_rx)
 
     def _after_rx(self, _event):
         server = self.server

@@ -402,13 +402,6 @@ class SimConfig:
     app: AppTimings = DEFAULT_APP_TIMINGS
     cache: CacheProfile = DEFAULT_CACHE
     trace: bool = False
-    #: frame-native (batched) execution of the data-plane hot loops:
-    #: True/False to force, or None to follow ``$REPRO_FRAME_EXEC``
-    #: (off by default).  Frame execution coalesces the
-    #: per-message Charge chains into one vectorized charge per frame
-    #: span; fixed-seed rows are bit-identical either way (DESIGN.md
-    #: §4.14), only the scheduler-event counts differ.
-    frame_exec: bool = None
 
     def with_(self, **kwargs):
         """Return a copy with the given fields replaced."""

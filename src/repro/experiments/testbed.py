@@ -20,7 +20,7 @@ from ..errors import ConfigError
 from ..hw import BluefieldSNIC, InnovaSNIC, IntelVCA, Machine
 from ..lynx import LynxRuntime, LynxServer
 from ..net import Client, MultiRackNetwork, Network
-from ..sim import Environment, RngRegistry, Tracer, resolve_frame_exec
+from ..sim import Environment, RngRegistry, Tracer
 
 
 #: process-wide config override installed by the CLI (see
@@ -55,11 +55,6 @@ class Testbed:
         if seed is not None:
             self.config = self.config.with_(seed=seed)
         self.env = Environment()
-        #: frame-native execution: per-config override, else
-        #: $REPRO_FRAME_EXEC.  Channel tracing needs per-message
-        #: events, so --trace-channel forces the scalar oracle.
-        self.env.frame_exec = (not self.config.trace and resolve_frame_exec(
-            configured=self.config.frame_exec))
         #: event tracer (enabled via SimConfig.trace) — installed on the
         #: environment *before* any Channel exists, so every hop built
         #: by this testbed picks it up at construction time

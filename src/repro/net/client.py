@@ -22,9 +22,10 @@ from .stack import TcpConnection
 class _SendOp:
     """One in-flight fire-and-forget send (callback twin of Client.send).
 
-    Mirrors ``env.detached(client.send(msg))`` event for event: the
-    detached task's URGENT kick, then the serialization charge, then
-    delivery.  Records are pooled on the client.
+    Takes ``env.detached(client.send(msg))``'s steps at the same
+    instants: the serialization charge, then delivery.  The send starts
+    inside the caller's step rather than behind a zero-delay kick.
+    Records are pooled on the client.
     """
 
     __slots__ = ("client", "msg")
@@ -35,11 +36,8 @@ class _SendOp:
 
     def start(self, msg):
         self.msg = msg
-        self.client.env._kick(self._begin)
-
-    def _begin(self, _event):
         client = self.client
-        client.env.defer(client._send_charge(self.msg), self._sent)
+        client.env.defer(client._send_charge(msg), self._sent)
 
     def _sent(self, _event):
         client = self.client
@@ -348,9 +346,8 @@ class _ClosedLoopOp:
     loop (send charge, the same ``any_of`` deadline condition, retries
     with RNG-jittered backoff) and the think-time charge, through the
     retry-policy helpers ``Client.request`` itself uses.  Every leg
-    takes the schedule slot its generator step took; a stopped worker
-    ends with one zero-delay event in place of the process's
-    termination event.
+    runs at the instant its generator step ran; a stopped worker just
+    ends, with no stand-in for the process's termination event.
     """
 
     __slots__ = ("gen", "client", "env", "index", "timeout", "conn", "seq",
@@ -396,8 +393,6 @@ class _ClosedLoopOp:
     def _next(self, _event=None):
         gen = self.gen
         if gen._stopped:
-            # The worker process's termination event.
-            self.env.defer(0, _ignore)
             return
         self.payload = gen.payload_fn(self.index * 1000000 + self.seq)
         self.seq += 1
@@ -449,10 +444,6 @@ class _ClosedLoopOp:
             self.env.defer(gen.think_time, self._next)
         else:
             self._next()
-
-
-def _ignore(_event):
-    pass
 
 
 class ClosedLoopGenerator:

@@ -16,9 +16,7 @@ from .environment import (
     kernel_totals,
     merge_kernel_totals,
     reset_kernel_totals,
-    resolve_frame_exec,
 )
-from . import batchexec
 from .events import (
     Event,
     Timeout,
@@ -44,8 +42,6 @@ __all__ = [
     "kernel_totals",
     "merge_kernel_totals",
     "reset_kernel_totals",
-    "resolve_frame_exec",
-    "batchexec",
     "Event",
     "Timeout",
     "Charge",

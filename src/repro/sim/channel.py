@@ -16,16 +16,15 @@ traced variants **on the instance**, which keeps the tracing branch out
 of the default path entirely.  Trace emission never schedules events,
 so enabling tracing cannot perturb simulated results.
 
-Determinism contract: every cost helper consumes exactly the schedule
-slots of the open-coded sequences it replaced (issue request → charge
-occupancy → release → charge latency), so refactoring a component onto
-a Channel leaves fixed-seed results bit-identical.
+Determinism contract: every cost helper runs the steps of the
+open-coded sequences it replaced (issue grant → occupancy → release →
+latency) at the same simulated instants, so refactoring a component
+onto a Channel leaves fixed-seed rows bit-identical.
 """
 
 from collections import deque
 
 from ..errors import CapacityError, SimulationError
-from .batchexec import burn, clear_span, ring_plain
 from .events import Event
 from .resources import Resource
 from .store import Store
@@ -184,12 +183,14 @@ class Channel(Store):
         """Callback twin of :meth:`transfer`: move *nbytes* across the
         hop, then call *callback(event)*.
 
-        Same schedule slots as the generator — issue grant, occupancy
-        charge, release, optional latency charge — with a pooled op
-        record carrying the transfer, so steady state allocates
-        nothing.  With no post-latency, *callback* runs synchronously
-        inside the release step, exactly where the generator resumed
-        its caller.
+        Same steps at the same instants as the generator — issue
+        grant, occupancy charge, release, optional latency charge —
+        with a pooled op record carrying the transfer, so steady state
+        allocates nothing.  An uncontended grant runs inline (see
+        :meth:`Resource.acquire`), so grant and occupancy cost one
+        scheduled event.  With no post-latency, *callback* runs
+        synchronously inside the release step, exactly where the
+        generator resumed its caller.
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size on %s" % self.name)
@@ -230,9 +231,8 @@ class Channel(Store):
         """Batched fire-and-forget: the burst rides ONE landing event.
 
         The vectorized traffic plane's injection path (DESIGN.md
-        §4.13): where N ``push()`` calls cost N deferred landings, each
-        burning a put-completion event id, a burst of N items here costs one
-        deferred event, and when the sink is an idle plain FIFO (no
+        §4.13): where N ``push()`` calls cost N deferred landings, a
+        burst of N items here costs one deferred event, and when the sink is an idle plain FIFO (no
         parked getters/putters, no tracer, room for the whole burst)
         the landing is a single ``deque.extend``.  Any other sink state
         falls back to the per-item landing loop, which preserves
@@ -338,8 +338,7 @@ class Channel(Store):
 
         The put cannot block — claim accounting guarantees space — and
         nobody waits on its completion, so it goes through
-        :meth:`Store.try_put`, which burns the dead put event's schedule
-        slot instead of building it.
+        :meth:`Store.try_put`, which builds no put event.
         """
         if self._claimed <= 0:
             raise CapacityError("completing an unclaimed slot on %s"
@@ -378,51 +377,6 @@ class Channel(Store):
                 break
             out.append(item)
         return out
-
-    # -- frame handoff (DESIGN.md §4.14) -----------------------------------
-
-    def frame_pop(self):
-        """Inline pop in place of a ``get()`` event, when unobservable.
-
-        A ``get()`` with an item already buffered resolves at the
-        current instant anyway — pop + one resume event.  Under frame
-        execution, when the ring is on the plain Store fast path (no
-        tracer, no fault ``_land`` shadow, no parked waiters) and the
-        clear-span guard holds at ``now``, the consumer can pop inline,
-        burn the skipped resume's sequence number, and keep running.
-        Returns the item, or ``None`` when the hop must stay scalar —
-        callers fall back to ``yield self.get()`` (items are never
-        ``None``; ``put`` rejects it).
-        """
-        env = self.env
-        if (env.frame_exec and self._items
-                and ring_plain(self)
-                and clear_span(env, env.now)):
-            burn(env, 1)
-            return self._pop_item()
-        return None
-
-    def frame_push(self, item):
-        """Inline buffered put in place of a ``put()`` event.
-
-        The mirror of :meth:`frame_pop` for the producer side: a
-        ``put`` into a ring with room and no parked consumer buffers
-        the item and schedules one resume event.  Under the same
-        guards the producer buffers inline (with the same
-        ``total_put`` accounting) and burns the skipped sequence
-        number.  Returns False when the hop must stay scalar —
-        callers fall back to ``yield self.put(item)``.
-        """
-        env = self.env
-        if (env.frame_exec
-                and len(self._items) < self.capacity
-                and ring_plain(self)
-                and clear_span(env, env.now)):
-            self._push_item(item)
-            self.total_put += 1
-            burn(env, 1)
-            return True
-        return False
 
     # -- traced method shadows (installed per instance when tracing) -------
 

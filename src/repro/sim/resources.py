@@ -11,7 +11,10 @@ request object doubles as a context manager::
 
 Callback state machines use the allocation-free twin instead:
 ``resource.acquire(callback)`` calls back once a slot is granted, and
-the holder returns the slot with ``resource.free()``.
+the holder returns the slot with ``resource.free()``.  A grant is a
+zero-delay hop, so it runs inside the step that causes it (DESIGN.md
+§4.6): a free slot calls back before ``acquire`` returns, and a parked
+callback runs inside the ``free``/``release`` that hands it the slot.
 """
 
 import heapq
@@ -19,6 +22,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from ..errors import SimulationError
+from .environment import TICK
 from .events import Event, NORMAL, PENDING
 from .stats import TimeWeightedGauge
 
@@ -89,12 +93,12 @@ class Resource:
         """Callback twin of :meth:`request`: call *callback(event)* once
         a slot is granted; the holder returns it with :meth:`free`.
 
-        A slot is granted through a pooled ``env.defer(0, ...)`` — the
-        same (now, NORMAL, eid) schedule slot the granted
-        :class:`Request` would take — so nothing is allocated.  A
-        contended acquire parks the bare callback as ``(priority, order,
-        callback)`` in the waiter heap, FIFO within its priority beside
-        every :class:`Request` waiter.
+        With a slot free and nobody waiting, *callback* runs before
+        ``acquire`` returns and consumes no event id; every call site
+        is a tail call, so the grantee's next charge is the caller's.
+        A contended acquire parks the bare callback as ``(priority,
+        order, callback)`` in the waiter heap, FIFO within its priority
+        beside every :class:`Request` waiter.  Nothing is allocated.
         """
         if self._in_use < self.capacity and not self._waiters:
             in_use = self._in_use + 1
@@ -108,7 +112,7 @@ class Resource:
                 gauge._last_change = now
                 if value > gauge._max:
                     gauge._max = value
-            self.env.defer(0, callback)
+            callback(TICK)
         else:
             self._park((priority, next(self._order), callback))
 
@@ -187,23 +191,27 @@ class Resource:
     def _settle(self):
         """Grant freed slots to waiters and update both gauges.
 
-        The one loop that grants from the waiter heap.  A parked
-        :meth:`acquire` callback gets its slot through ``env.defer(0)``,
-        the (now, NORMAL, eid) slot a granted :class:`Request` takes;
-        requests already triggered (failed or withdrawn) are skipped.
-        Every grant happens at the current instant with ``in_use``
-        rising, so one utilization update at the end leaves the gauge
-        exactly as a per-grant update would.
+        The one loop that grants from the waiter heap.  A granted
+        :class:`Request` is triggered as an event (generator waiters
+        yield on it); requests already triggered (failed or withdrawn)
+        are skipped.  Parked :meth:`acquire` callbacks are collected in
+        heap order — FIFO within each priority — and called once both
+        gauges read the new state, so a callback that re-enters
+        ``acquire`` or ``free`` sees a settled resource.  Every grant
+        happens at the current instant with ``in_use`` rising, so one
+        utilization update at the end leaves the gauge exactly as a
+        per-grant update would.
         """
         waiters = self._waiters
         env = self.env
         in_use = self._in_use
         capacity = self.capacity
+        granted = []
         while waiters and in_use < capacity:
             _, _, nxt = heappop(waiters)
             if nxt.__class__ is not Request:
                 in_use += 1
-                env.defer(0, nxt)
+                granted.append(nxt)
             elif nxt._value is PENDING:
                 in_use += 1
                 # Inlined nxt.succeed(nxt), as in _grant.
@@ -231,6 +239,8 @@ class Resource:
             gauge._last_change = now
             if value > gauge._max:
                 gauge._max = value
+        for callback in granted:
+            callback(TICK)
 
     def _cancel(self, req):
         if req.triggered:  # granted requests are always triggered

@@ -102,10 +102,9 @@ class Store:
         Used for drop-tail queues (NIC RX rings): the caller counts the
         drop instead of blocking.
 
-        Nobody can wait on the put's completion, so none is built: the
-        schedule slot the ``StorePut`` would take is burned and credited
-        to ``events_processed`` as if it had fired.  Ordering and every
-        counter stay those of a ``put()``.
+        Nobody can wait on the put's completion, so none is built and
+        no event id is spent on it; only a parked getter's wake-up is
+        scheduled.  Skipping an id never reorders the events around it.
         """
         env = self.env
         if self._getters:
@@ -113,7 +112,7 @@ class Store:
             getter = self._getters.popleft()
             self.total_put += 1
             eid = env._eid
-            env._eid = eid + 2
+            env._eid = eid + 1
             if getter.__class__ is StoreGet:
                 getter._ok = True
                 getter._value = item
@@ -124,10 +123,8 @@ class Store:
         elif len(self._items) < self.capacity:
             self._push_item(item)
             self.total_put += 1
-            env._eid += 1
         else:
             return False
-        env.events_processed += 1
         return True
 
     def try_get(self):

@@ -423,11 +423,9 @@ class TestGoldenParity:
 
 
 class TestBackendParity:
-    def test_same_seed_reproduces(self, monkeypatch):
-        """Same seed, same population — run again, and with frame
-        execution on as the other execution backend."""
-        def run(frame):
-            monkeypatch.setenv("REPRO_FRAME_EXEC", frame)
+    def test_same_seed_reproduces(self):
+        """Same seed, same population — run again."""
+        def run():
             dep = _spin_deployment(seed=7)
             pop = _population_for(dep, 0.05, seed_tag="pop7")
             dep.tb.run(until=dep.env.now + 20000.0)
@@ -435,6 +433,5 @@ class TestBackendParity:
             return (pop.offered, pop.responses.count,
                     json.dumps(pop.latency.snapshot(), sort_keys=True))
 
-        first = run("0")
-        assert run("0") == first
-        assert run("1") == first
+        first = run()
+        assert run() == first

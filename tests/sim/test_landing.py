@@ -52,9 +52,9 @@ class TestBurstParity:
             assert (getattr(item["chan"], key)
                     == getattr(bulk["chan"], key)), key
         assert bulk["chan"].bytes_moved == 32 * 64
-        # pump + drain, then per message a landing and the credited
-        # completion of its put; a burst lands in one extend
-        assert item["events_processed"] == 2 + 32 * 2
+        # pump + drain, then one landing per message (a landing's
+        # put builds no completion event); a burst lands in one extend
+        assert item["events_processed"] == 2 + 32
         assert bulk["events_processed"] == 2 + 1
 
     def test_interleaved_channels_break_batches(self):
@@ -78,7 +78,7 @@ class TestBurstParity:
             env.defer(1.0, pump)
             env.run()
             assert sink.recv_batch() == expected, lat_b
-            assert env.events_processed == 1 + 20 * 2
+            assert env.events_processed == 1 + 20
 
     def test_capacity_limited_drops(self):
         def build(env, out, send):
@@ -92,10 +92,10 @@ class TestBurstParity:
                     == getattr(bulk["chan"], key)), key
         assert bulk["chan"].dropped == 7
         assert bulk["chan"].recv_batch() == [0, 1, 2, 3, 4]
-        # only accepted puts credit a completion; a burst too big for
-        # the sink lands item by item inside its one landing event
-        assert item["events_processed"] == 1 + 12 + 5
-        assert bulk["events_processed"] == 1 + 1 + 5
+        # one landing per pushed item; a burst too big for the sink
+        # lands item by item inside its one landing event
+        assert item["events_processed"] == 1 + 12
+        assert bulk["events_processed"] == 1 + 1
 
     def test_sink_with_parked_getters(self):
         def build(env, out, send):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Environment, Resource
-from repro.sim.events import NORMAL
 
 
 @pytest.fixture
@@ -106,14 +105,14 @@ class TestResource:
 class TestAcquire:
     """The callback twin: ``acquire(callback, priority)`` / ``free()``."""
 
-    def test_immediate_grant_takes_the_request_slot(self):
-        env_req, env_acq = Environment(), Environment()
-        Resource(env_req, 1).request()
-        eid = env_acq._eid
-        Resource(env_acq, 1).acquire(lambda _event: None)
-        assert env_acq._eid == eid + 1
-        assert env_acq._queue[0][:3] == env_req._queue[0][:3] \
-            == (env_acq.now, NORMAL, eid)
+    def test_immediate_grant_runs_before_acquire_returns(self, env):
+        res = Resource(env, 1)
+        fired = []
+        eid = env._eid
+        res.acquire(lambda _event: fired.append(res.in_use))
+        assert fired == [1]
+        assert env._eid == eid and env._queue == []
+        assert res.in_use == 1 and res.utilization._value == 1.0
 
     def test_immediate_grant_fires_at_now(self, env):
         res = Resource(env, 2)
@@ -166,6 +165,86 @@ class TestAcquire:
         assert res.waiting == 1
         assert res._waiters[0][0] == -1 and res._waiters[0][2] is granted
 
+    def test_grant_callback_reenters_acquire(self, env):
+        res = Resource(env, 2)
+        order = []
+
+        def second(_event):
+            order.append(("second", res.in_use, res.waiting))
+
+        def first(_event):
+            order.append(("first", res.in_use, res.waiting))
+            res.acquire(second)       # a free slot: granted inline
+            res.acquire(lambda _e: order.append(("third", env.now)))
+            order.append(("parked", res.in_use, res.waiting))
+
+        res.acquire(first)
+        assert order == [("first", 1, 0), ("second", 2, 0),
+                         ("parked", 2, 1)]
+        res.free()
+        assert order[-1] == ("third", 0.0)
+        assert res.in_use == 2 and res.waiting == 0
+
+    def test_parked_grant_reenters_acquire_after_the_gauges_settle(self, env):
+        res = Resource(env, 1)
+        seen = []
+
+        def regrab(_event):
+            # The resource already reads the grant: one slot in use,
+            # and the next parked callback still waits its turn.
+            seen.append((res.in_use, res.waiting, res.utilization._value,
+                         res.queue_depth._value))
+            res.acquire(lambda _e: seen.append("late"))
+
+        res.acquire(lambda _event: None)
+        res.acquire(regrab)
+        res.acquire(lambda _e: seen.append("next"))
+        res.free()
+        assert seen == [(1, 1, 1.0, 1)]
+        res.free()
+        res.free()
+        assert seen[1:] == ["next", "late"]
+        assert res.in_use == 1 and res.waiting == 0
+
+    def test_one_free_grants_several_parked_callbacks_fifo_per_priority(
+            self, env):
+        res = Resource(env, 2)
+        order = []
+
+        def zero_hold(name):
+            def granted(_event):
+                order.append(name)
+                if name != "last":
+                    res.free()        # hands the slot straight on
+            return granted
+
+        res.acquire(lambda _event: None)
+        res.acquire(lambda _event: None)
+        for name, priority in (("a", 0), ("b", -1), ("c", 0), ("d", -1),
+                               ("e", 1), ("f", -1), ("last", 2)):
+            res.acquire(zero_hold(name), priority)
+        assert res.waiting == 7
+        eid = env._eid
+        res.free()
+        assert order == ["b", "d", "f", "a", "c", "e", "last"]
+        assert env._eid == eid and env._queue == []
+        assert res.in_use == 2 and res.waiting == 0
+        assert res.queue_depth._value == 0
+
+    def test_zero_hold_acquire_frees_before_a_same_instant_cancel(self, env):
+        """An acquire grant runs in its caller's step, so a zero-length
+        hold scheduled from it fires before a cancel scheduled later in
+        the same instant: the parked request is granted, not withdrawn.
+        (Through ``request()`` the holder's grant is an event of its own
+        and the cancel wins the tie.)"""
+        res = Resource(env, 1)
+        res.acquire(lambda _event: env.defer(0, lambda _e: res.free()))
+        req = res.request()
+        env.defer(0, lambda _e: req.cancel())
+        env.run()
+        assert req.triggered and req.ok
+        assert res.in_use == 1 and res.waiting == 0
+
     def test_cancelled_request_between_parked_callbacks_is_skipped(self, env):
         res = Resource(env, 1)
         order = []
@@ -201,8 +280,18 @@ REQUEST, ACQUIRE, CANCELLED = range(3)
 def _replay(jobs, capacity):
     """Drive *jobs* (arrival, hold, priority, kind, cancel delay) through
     one resource, mixing request/release and acquire/free waiters; a
-    CANCELLED job is a Request withdrawn after its delay unless granted
-    by then.  Returns the observable outcome."""
+    CANCELLED job is a Request withdrawn after its delay plus half a
+    microsecond unless granted by then.  The half keeps a cancel off
+    the integer instants where slots change hands: a same-instant race
+    between a cancel and a release is decided by schedule order, which
+    inline grants change by design (see
+    ``test_zero_hold_acquire_frees_before_a_same_instant_cancel``).
+    Returns the observable outcome: when each job was granted
+    (so who won each contended slot), the final clock, and both gauges'
+    state (areas and maxima included).  Neither event ids nor the call
+    order of grants within one instant are observable: an acquire grant
+    runs inside the step that causes it, while a granted Request fires
+    as a later event at the same instant."""
     env = Environment()
     res = Resource(env, capacity)
     grants = []
@@ -220,13 +309,14 @@ def _replay(jobs, capacity):
         req = res.request(priority)
         req.callbacks.append(granted)
         if kind == CANCELLED:
-            env.defer(cancel_after, lambda _e: req.cancel())
+            env.defer(cancel_after + 0.5, lambda _e: req.cancel())
 
     for name, (at, hold, priority, kind, cancel_after) in enumerate(jobs):
         env.defer(at, lambda _e, n=name, h=hold, p=priority, k=kind,
                   c=cancel_after: arrive(n, h, p, k, c))
     env.run()
-    return (grants, env._eid, env.now, _gauge_state(res.utilization),
+    return (sorted(grants, key=lambda g: (g[1], g[0])), env.now,
+            _gauge_state(res.utilization),
             _gauge_state(res.queue_depth))
 
 
@@ -234,7 +324,7 @@ def _replay(jobs, capacity):
                                st.integers(-2, 1)),
                      min_size=1, max_size=30),
        capacity=st.integers(1, 3))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_acquire_free_matches_request_release(jobs, capacity):
     def claimed(kind):
         return [(at, hold, priority, kind, 0) for at, hold, priority in jobs]
@@ -248,7 +338,7 @@ def test_acquire_free_matches_request_release(jobs, capacity):
                                st.integers(0, 6)),
                      min_size=1, max_size=30),
        capacity=st.integers(1, 3))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 def test_mixed_waiters_match_request_release(jobs, capacity):
     """Parked callbacks interleaved with Request waiters (some of them
     cancelled while queued) give the grants, schedule and gauges of the
