@@ -111,7 +111,7 @@ class TestChargePool:
 
         seen = []
         env.defer(1.0, seen.append)
-        env.defer_at(2.0, seen.append)
+        env.defer(2.0, seen.append)
         env._kick(seen.append)
         env.run()
         assert seen == [TICK, TICK, TICK]
