@@ -106,8 +106,8 @@ class TestMetricsFlag:
         assert main(["E05", "--kernel-stats"]) == 0
         out = capsys.readouterr().out
         # An experiment that completes requests must report a non-zero
-        # events-per-request figure (DESIGN.md §4.14): the whole frame
-        # story is making this number drop.
+        # events-per-request figure (DESIGN.md §4.6): the scheduler's
+        # figure of merit.
         line = next(ln for ln in out.splitlines() if "events/request" in ln)
         assert float(line.split()[-1]) > 0
         line = next(ln for ln in out.splitlines()
